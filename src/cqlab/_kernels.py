@@ -1,10 +1,11 @@
 """Hot numeric kernels with two builds.
 
 Default build compiles the kernels with numba @njit; setting CQLAB_NO_NUMBA=1
-(or running without numba installed) selects the fallback path: a vectorized
-NumPy implementation for the matching scan and the bound evaluators, and the
-interpreted search loops for the alternating-structure DFS.
-`benchmarks/bench_kernels.py` times the two builds against each other.
+(or running without numba installed) selects the fallback build, which runs
+the same loops interpreted for the alternating-structure DFS and the
+dense-bound evaluators, and a vectorized NumPy count for the matching scan.
+The dense formulas f, f', p and the entropy live here only; `bounds` calls
+them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -20,6 +21,7 @@ import os
 import numpy as np
 
 _P_FLOOR = 0.5 + 1e-12
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 NUMBA_REQUESTED = os.environ.get("CQLAB_NO_NUMBA", "") != "1"
 try:
@@ -350,19 +352,31 @@ def _fprime_val(m, a, d, g, eta):
 
 
 def _argmin_fprime(a, d, g, eta):
-    # f' is convex in m (the suite certifies this numerically). Stops at the
-    # tolerance or when float spacing exhausts the interval.
+    # Golden-section search: f' is convex in m (the suite certifies this
+    # numerically), and each step reuses one interior value, so it costs one
+    # f' evaluation. Stops at the tolerance or when float spacing exhausts
+    # the interval.
     l = 0.0
     r = 0.5 * a
+    c = r - _INV_PHI * (r - l)
+    e = l + _INV_PHI * (r - l)
+    fc = _fprime_val(c, a, d, g, eta)
+    fe = _fprime_val(e, a, d, g, eta)
     while r - l > 1e-13:
-        d1 = l + (r - l) / 3.0
-        d2 = r - (r - l) / 3.0
-        if d1 <= l or d2 >= r:
-            break
-        if _fprime_val(d1, a, d, g, eta) < _fprime_val(d2, a, d, g, eta):
-            r = d2
+        if fc < fe:
+            r = e
+            e, fe = c, fc
+            c = r - _INV_PHI * (r - l)
+            if c <= l or c >= e:
+                break
+            fc = _fprime_val(c, a, d, g, eta)
         else:
-            l = d1
+            l = c
+            c, fc = e, fe
+            e = l + _INV_PHI * (r - l)
+            if e <= c or e >= r:
+                break
+            fe = _fprime_val(e, a, d, g, eta)
     return 0.5 * (l + r)
 
 
@@ -422,72 +436,6 @@ def _f2_batch_core(alphas, d, g, eta):
     return out_f, out_p
 
 
-# vectorized NumPy fallbacks ------------------------------------------------
-
-def _entropy_np(p):
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
-    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
-
-
-def _p_np(m, a, g, eta):
-    den = 0.5 * a * a - 2.0 * g * m * m
-    return (eta * 0.5 * a * a - 2.0 * g * m * m) / den
-
-
-def _f_np(m, a, d, g, eta):
-    den = 0.5 * a * a - 2.0 * g * m * m
-    p = _p_np(m, a, g, eta)
-    val = den * (1.0 - _entropy_np(p)) - a + (2.0 - d) * m
-    return np.where(p <= _P_FLOOR, np.inf, val)
-
-
-def _fprime_np(m, a, d, g, eta):
-    p = _p_np(m, a, g, eta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -4.0 * g * m * (1.0 + np.log2(p)) + (2.0 - d)
-    return np.where(p <= 0.0, np.inf, val)
-
-
-def _f1_batch_numpy(alphas, d, g, eta, mtol, curve):
-    a = np.asarray(alphas, dtype=float)
-    if d >= 2.0:
-        m1 = np.zeros_like(a)
-        return _f_np(m1, a, d, g, eta), m1, _p_np(m1, a, g, eta)
-    l = np.zeros_like(a)
-    r = 0.5 * a
-    for _ in range(120):
-        d1 = l + (r - l) / 3.0
-        d2 = r - (r - l) / 3.0
-        take = _fprime_np(d1, a, d, g, eta) < _fprime_np(d2, a, d, g, eta)
-        r = np.where(take, d2, r)
-        l = np.where(take, l, d1)
-    mstar = 0.5 * (l + r)
-    has_root = _fprime_np(mstar, a, d, g, eta) <= 0.0
-    lo = np.zeros_like(a)
-    hi = mstar
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        pos = _fprime_np(mid, a, d, g, eta) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    m1 = np.where(has_root, 0.5 * (lo + hi), mstar)
-    f1 = _f_np(m1, a, d, g, eta)
-    p1 = _p_np(m1, a, g, eta)
-    if not curve:
-        f1 = np.where(has_root, f1, np.inf)
-        p1 = np.where(has_root, p1, np.nan)
-        m1 = np.where(has_root, m1, np.inf)
-    return f1, m1, p1
-
-
-def _f2_batch_numpy(alphas, d, g, eta):
-    a = np.asarray(alphas, dtype=float)
-    m = 0.5 * a
-    return _f_np(m, a, d, g, eta), _p_np(m, a, g, eta)
-
-
 # ---------------------------------------------------------------------------
 # backend selection
 # ---------------------------------------------------------------------------
@@ -502,8 +450,8 @@ if HAVE_NUMBA:
     _fprime_val = _njit(cache=True)(_fprime_val)
     _argmin_fprime = _njit(cache=True)(_argmin_fprime)
     _solve_m1_val = _njit(cache=True)(_solve_m1_val)
-    _f1_batch_njit = _njit(cache=True)(_f1_batch_core)
-    _f2_batch_njit = _njit(cache=True)(_f2_batch_core)
+    _f1_batch_core = _njit(cache=True)(_f1_batch_core)
+    _f2_batch_core = _njit(cache=True)(_f2_batch_core)
 
 
 def min_critical_scan(lab: np.ndarray, size: int):
@@ -533,18 +481,14 @@ def alt_cycle_exists(indptr: np.ndarray, indices: np.ndarray, nv: int) -> bool:
 def f1_values(alphas, delta, gamma, eta, mtol=1e-12, curve=False):
     """Batch F1 evaluation; returns (f1, m1, p) arrays."""
     a = np.ascontiguousarray(alphas, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _f1_batch_njit(a, float(delta), float(gamma), float(eta), mtol,
-                              1 if curve else 0)
-    return _f1_batch_numpy(a, float(delta), float(gamma), float(eta), mtol, curve)
+    return _f1_batch_core(a, float(delta), float(gamma), float(eta), mtol,
+                          1 if curve else 0)
 
 
 def f2_values(alphas, delta, gamma, eta):
     """Batch F2 evaluation (m = alpha/2); returns (f2, p) arrays."""
     a = np.ascontiguousarray(alphas, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _f2_batch_njit(a, float(delta), float(gamma), float(eta))
-    return _f2_batch_numpy(a, float(delta), float(gamma), float(eta))
+    return _f2_batch_core(a, float(delta), float(gamma), float(eta))
 
 
 def solve_m1_scalar(alpha, delta, gamma, eta, mtol=1e-12):

@@ -18,7 +18,6 @@ from .common import is_infinite, validate_ell
 from .errors import NoCrossing, POutOfRange, RootDiagnostic
 from .partition_bounds import gamma_exact, gamma_upper_bound
 
-_P_FLOOR = 0.5 + 1e-12
 SCAN_STEP = 1e-3
 ALPHA_TOL = 1e-9
 M_TOL = 1e-12
@@ -94,9 +93,7 @@ def binary_entropy(p: float) -> float:
     """Shannon entropy in bits; H(0) = H(1) = 0 by the 0 log 0 = 0 convention."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"entropy argument must lie in [0, 1], got {p}")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    return _kernels._entropy_val(p)
 
 
 def resolve_gamma(ell, gamma_mode: str = "auto") -> float:
@@ -149,38 +146,32 @@ def corollary_alpha(delta: float, ell: int) -> float:
     return 1 + math.sqrt(1 - (2 - delta) ** 2 / denom)
 
 
-def _p_of(m: float, alpha: float, gamma: float, eta: float) -> float:
-    den = alpha * alpha / 2 - 2 * gamma * m * m
-    return (eta * alpha * alpha / 2 - 2 * gamma * m * m) / den
+def _check_feasible(m: float, alpha: float, gamma: float, eta: float) -> None:
+    if not (0.0 <= m <= alpha / 2):
+        raise ValueError(f"m must lie in [0, alpha/2], got m={m}, alpha={alpha}")
+    p = _kernels._p_val(m, alpha, gamma, eta)
+    if p <= _kernels._P_FLOOR:
+        raise POutOfRange(f"p out of range: p={p} <= 1/2 (infeasible m)")
 
 
 def dense_f(m: float, alpha: float, delta: float, gamma: float, eta: float) -> float:
     """(alpha^2/2 - 2 gamma m^2)(1 - H(p)) - alpha + (2-delta) m with
     p = (eta alpha^2/2 - 2 gamma m^2)/(alpha^2/2 - 2 gamma m^2)."""
-    if not (0.0 <= m <= alpha / 2):
-        raise ValueError(f"m must lie in [0, alpha/2], got m={m}, alpha={alpha}")
-    p = _p_of(m, alpha, gamma, eta)
-    if p <= _P_FLOOR:
-        raise POutOfRange(f"p out of range: p={p} <= 1/2 (infeasible m)")
-    den = alpha * alpha / 2 - 2 * gamma * m * m
-    return den * (1 - binary_entropy(p)) - alpha + (2 - delta) * m
+    _check_feasible(m, alpha, gamma, eta)
+    return _kernels._f_val(m, alpha, delta, gamma, eta)
 
 
 def dense_fprime(m: float, alpha: float, delta: float, gamma: float, eta: float) -> float:
     """d/dm of dense_f: -4 gamma m (1 + log2 p) + (2 - delta)."""
-    if not (0.0 <= m <= alpha / 2):
-        raise ValueError(f"m must lie in [0, alpha/2], got m={m}, alpha={alpha}")
-    p = _p_of(m, alpha, gamma, eta)
-    if p <= _P_FLOOR:
-        raise POutOfRange(f"p out of range: p={p} <= 1/2 (infeasible m)")
-    return -4 * gamma * m * (1 + math.log2(p)) + (2 - delta)
+    _check_feasible(m, alpha, gamma, eta)
+    return _kernels._fprime_val(m, alpha, delta, gamma, eta)
 
 
 def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     """Smallest root of dense_fprime on [0, alpha/2], to 1e-12 in m, or
     math.inf when the derivative stays positive. The derivative is convex in
-    m, so locating its minimum (ternary search) certifies "smallest": the
-    first root, if any, lies left of the argmin."""
+    m, so locating its minimum (golden-section search) certifies "smallest":
+    the first root, if any, lies left of the argmin."""
     m, ok = _kernels.solve_m1_scalar(alpha, delta, gamma, eta, M_TOL)
     return m if ok else math.inf
 
@@ -192,23 +183,23 @@ def trivial_dense_bound(eta: float) -> float:
     return 2 / (1 - binary_entropy(eta))
 
 
-def _bisect_root(eval_scalar, lo: float, hi: float, tol: float):
+def _bisect_root(evaluate, lo: float, hi: float, tol: float):
     # invariant: value(lo) <= 0 < value(hi); undefined (inf/nan) counts as > 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float spacing exhausted (huge-alpha brackets)
-        vm = eval_scalar(mid)
-        if np.isfinite(vm) and vm <= 0:
+        vm = evaluate(mid)
+        if math.isfinite(vm) and vm <= 0:
             lo = mid
         else:
             hi = mid
     # certify a genuine crossing: both ends defined with opposite signs means
     # the continuous branch has a root inside the bracket. An undefined upper
     # end means the bisection slid onto a branch-existence boundary instead.
-    vhi = eval_scalar(hi)
-    vlo = eval_scalar(lo)
-    if not (np.isfinite(vhi) and np.isfinite(vlo) and vlo <= 0 <= vhi):
+    vhi = evaluate(hi)
+    vlo = evaluate(lo)
+    if not (math.isfinite(vhi) and math.isfinite(vlo) and vlo <= 0 <= vhi):
         raise RootDiagnostic(
             f"bracket [{lo}, {hi}] does not certify a root "
             f"(values {vlo}, {vhi}); the branch boundary was hit"
@@ -216,36 +207,37 @@ def _bisect_root(eval_scalar, lo: float, hi: float, tol: float):
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def _descending_root(eval_batch, eval_scalar, upper: float, step: float, tol: float):
+def _descending_root(evaluate, upper: float, step: float, tol: float):
     """Largest root at or below `upper` by a descending step-`step` scan plus
     bisection; when the branch is still non-positive at `upper` the root lies
     above it and is bracketed geometrically instead (the endpoint branch can
-    exceed the trivial bound). np.inf encodes "branch undefined here".
+    exceed the trivial bound). np.inf encodes "branch undefined here". The
+    scan evaluates grid points from the top down and stops at the first sign
+    change, so points below the root are never evaluated.
     Returns (root, (lo, hi)) or (None, None) when the branch never crosses.
     """
-    v_up = float(eval_batch(np.array([upper]))[0])
-    if np.isfinite(v_up) and v_up <= 0:
+    v_up = evaluate(upper)
+    if math.isfinite(v_up) and v_up <= 0:
         lo = upper
         hi = upper
         for _ in range(60):
             hi *= 2
-            vh = float(eval_batch(np.array([hi]))[0])
-            if np.isfinite(vh) and vh <= 0:
+            vh = evaluate(hi)
+            if math.isfinite(vh) and vh <= 0:
                 lo = hi
-            elif np.isfinite(vh):
-                return _bisect_root(eval_scalar, lo, hi, tol)
+            elif math.isfinite(vh):
+                return _bisect_root(evaluate, lo, hi, tol)
         raise RootDiagnostic("no sign change found while expanding above the trivial bound")
 
-    grid = np.arange(upper, 1.0, -step)
-    vals = np.asarray(eval_batch(grid), dtype=float)
     prev_alpha = None
     prev_val = None
-    for a, v in zip(grid.tolist(), vals.tolist()):
-        if not np.isfinite(v):
+    for a in np.arange(upper, 1.0, -step).tolist():
+        v = evaluate(a)
+        if not math.isfinite(v):
             prev_alpha, prev_val = None, None
             continue
         if v <= 0 and prev_val is not None and prev_val > 0:
-            return _bisect_root(eval_scalar, a, prev_alpha, tol)
+            return _bisect_root(evaluate, a, prev_alpha, tol)
         prev_alpha, prev_val = a, v
     return None, None
 
@@ -257,34 +249,26 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     gamma = resolve_gamma(query.ell, gamma_mode)
     upper = trivial_dense_bound(eta)
 
-    def f2_batch(alphas):
-        return _kernels.f2_values(alphas, delta, gamma, eta)[0]
+    def f2(a):
+        return float(_kernels.f2_values(np.array([a]), delta, gamma, eta)[0][0])
 
-    def f2_scalar(a):
-        return float(f2_batch(np.array([a]))[0])
-
-    alpha2, br2 = _descending_root(f2_batch, f2_scalar, upper, SCAN_STEP, ALPHA_TOL)
+    alpha2, br2 = _descending_root(f2, upper, SCAN_STEP, ALPHA_TOL)
     if alpha2 is None:
         raise RootDiagnostic("endpoint branch lost its root; this should be impossible")
 
-    def f1_batch(alphas):
-        return _kernels.f1_values(alphas, delta, gamma, eta, M_TOL)[0]
+    def f1(a):
+        return float(_kernels.f1_values(np.array([a]), delta, gamma, eta, M_TOL)[0][0])
 
-    def f1_scalar(a):
-        return float(f1_batch(np.array([a]))[0])
+    alpha1, br1 = _descending_root(f1, upper, SCAN_STEP, ALPHA_TOL)
 
-    alpha1, br1 = _descending_root(f1_batch, f1_scalar, upper, SCAN_STEP, ALPHA_TOL)
-
-    def curve_batch(alphas):
-        return _kernels.f1_values(alphas, delta, gamma, eta, M_TOL, curve=True)[0]
-
-    def curve_scalar(a):
-        return float(curve_batch(np.array([a]))[0])
+    def f1_curve(a):
+        return float(_kernels.f1_values(np.array([a]), delta, gamma, eta, M_TOL,
+                                        curve=True)[0][0])
 
     if alpha1 is not None:
         alpha1_curve = alpha1
     else:
-        alpha1_curve, _ = _descending_root(curve_batch, curve_scalar, upper, SCAN_STEP, ALPHA_TOL)
+        alpha1_curve, _ = _descending_root(f1_curve, upper, SCAN_STEP, ALPHA_TOL)
         if alpha1_curve is None:
             alpha1_curve = math.inf
 
@@ -296,11 +280,11 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
         m1 = solve_m1(alpha1, delta, gamma, eta)
         alpha0 = alpha1
         case = "stationary"
-        p_opt = _p_of(m1, alpha1, gamma, eta)
+        p_opt = _kernels._p_val(m1, alpha1, gamma, eta)
     else:
         alpha0 = alpha2
         case = "endpoint"
-        p_opt = _p_of(alpha2 / 2, alpha2, gamma, eta)
+        p_opt = _kernels._p_val(alpha2 / 2, alpha2, gamma, eta)
         m1 = solve_m1(alpha1, delta, gamma, eta) if alpha1 is not None else math.inf
 
     return DenseSolution(

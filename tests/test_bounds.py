@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import _kernels
 from cqlab.common import INFINITE
 from cqlab.errors import NoCrossing, POutOfRange
 from cqlab.bounds import (
@@ -172,6 +173,15 @@ class TestDenseF:
             assert abs(fd - dense_fprime(m, alpha, delta, gamma, eta)) < 1e-6
 
 
+# (alpha, delta, gamma, eta) cases spanning the label ratios and query exponents
+CONVEXITY_CASES = [
+    (2.4, 1.0, 0.5, 0.951), (2.0, 1.0, 0.375, 0.9), (2.2, 1.3, 0.25, 0.99),
+    (3.0, 1.5, 0.5, 0.8), (2.6, 1.9, 0.4375, 0.97), (2.1, 1.1, 0.375, 0.85),
+    (2.9, 1.7, 0.5, 0.93), (2.3, 1.0, 0.25, 0.9301), (2.48, 1.0, 0.5, 0.951),
+    (2.0, 2.0, 0.5, 0.9), (2.7, 1.25, 0.375, 0.88), (2.5, 1.6, 0.46875, 0.96),
+]
+
+
 class TestSolveM1:
     def test_eta_one_closed_form(self):
         # m1 = (2 - delta)/(4 gamma) whenever that sits inside [0, alpha/2]
@@ -187,29 +197,30 @@ class TestSolveM1:
         # two labels, eta = 1, alpha < 2: f' = 1 - m > 0 on [0, alpha/2]
         assert solve_m1(1.5, 1.0, 0.25, 1.0) == math.inf
 
-    def test_grid_scan_oracle(self):
+    @pytest.mark.parametrize("alpha,delta,gamma,eta", CONVEXITY_CASES)
+    def test_grid_scan_oracle(self, alpha, delta, gamma, eta):
         # independent fine-grid sign scan brackets the bisection answer
-        alpha, delta, gamma, eta = 2.48, 1.0, 0.5, 0.951
         m1 = solve_m1(alpha, delta, gamma, eta)
-        assert 0.0 < m1 < alpha / 2
-        grid = np.linspace(0.0, alpha / 2, 1_240_001)  # ~1e-6 resolution
+        grid = np.linspace(0.0, alpha / 2, int(round(alpha / 2 * 1e6)) + 1)  # 1e-6 cells
         p = (eta * alpha**2 / 2 - 2 * gamma * grid**2) / (alpha**2 / 2 - 2 * gamma * grid**2)
         fp = -4 * gamma * grid * (1 + np.log2(p)) + (2 - delta)
         sign_change = np.nonzero(np.diff(np.sign(fp)))[0]
-        assert len(sign_change) >= 1
-        lo = grid[sign_change[0]]
-        hi = grid[sign_change[0] + 1]
-        assert lo <= m1 <= hi
+        if m1 == math.inf:
+            assert len(sign_change) == 0
+        else:
+            assert m1 == 0.0 if delta == 2.0 else 0.0 < m1 < alpha / 2
+            assert len(sign_change) >= 1
+            lo = grid[sign_change[0]]
+            hi = grid[sign_change[0] + 1]
+            assert lo <= m1 <= hi
+        # the golden-section argmin lands in the cell of the grid minimum
+        i = int(np.argmin(fp))
+        mstar = _kernels._argmin_fprime(alpha, delta, gamma, eta)
+        assert grid[max(i - 1, 0)] <= mstar <= grid[min(i + 1, len(grid) - 1)]
 
     def test_convexity_second_difference(self):
         # f' is convex in m: centered second difference stays >= -1e-9
-        cases = [
-            (2.4, 1.0, 0.5, 0.951), (2.0, 1.0, 0.375, 0.9), (2.2, 1.3, 0.25, 0.99),
-            (3.0, 1.5, 0.5, 0.8), (2.6, 1.9, 0.4375, 0.97), (2.1, 1.1, 0.375, 0.85),
-            (2.9, 1.7, 0.5, 0.93), (2.3, 1.0, 0.25, 0.9301), (2.48, 1.0, 0.5, 0.951),
-            (2.0, 2.0, 0.5, 0.9), (2.7, 1.25, 0.375, 0.88), (2.5, 1.6, 0.46875, 0.96),
-        ]
-        for alpha, delta, gamma, eta in cases:
+        for alpha, delta, gamma, eta in CONVEXITY_CASES:
             m = np.linspace(0.0, alpha / 2, 1001)[1:-1]
             p = (eta * alpha**2 / 2 - 2 * gamma * m**2) / (alpha**2 / 2 - 2 * gamma * m**2)
             fp = -4 * gamma * m * (1 + np.log2(p)) + (2 - delta)

@@ -29,6 +29,9 @@ class TestMatchingScanParity:
         m = rng.randint(1, n // 2)
         lab = _random_lab_matrix(n, rng.choice([2, 3]), seed)
         c1, e1 = K._min_critical_numpy(lab, n, m)
+        c0, e0 = K._min_critical_core(lab, n, m)  # interpreted compiled-path loop
+        assert int(c0) == int(c1)
+        assert np.array_equal(np.asarray(e0), np.asarray(e1).reshape(m, 2))
         if K.HAVE_NUMBA:
             c2, e2 = K._min_critical_njit(lab, n, m)
             assert int(c2) == int(c1)
@@ -78,17 +81,26 @@ class TestDenseEvalParity:
     )
     def test_batches_agree(self, delta, gamma, eta):
         alphas = np.linspace(1.2, 3.4, 57)
-        f1a, m1a, p1a = K._f1_batch_numpy(alphas, delta, gamma, eta, 1e-12, False)
-        f2a, p2a = K._f2_batch_numpy(alphas, delta, gamma, eta)
-        if K.HAVE_NUMBA:
-            f1b, m1b, p1b = K._f1_batch_njit(alphas, delta, gamma, eta, 1e-12, 0)
-            f2b, p2b = K._f2_batch_njit(alphas, delta, gamma, eta)
-            finite = np.isfinite(f1a)
-            assert np.array_equal(finite, np.isfinite(f1b))
-            assert np.allclose(f1a[finite], f1b[finite], atol=1e-9)
-            assert np.allclose(m1a[finite], m1b[finite], atol=1e-9)
-            assert np.allclose(f2a, f2b, atol=1e-12)
-            assert np.allclose(p2a, p2b, atol=1e-12)
+        # F2 is f at m = alpha/2, written out here independently of the kernels
+        m = alphas / 2
+        den = alphas**2 / 2 - 2 * gamma * m**2
+        p = (eta * alphas**2 / 2 - 2 * gamma * m**2) / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+        f = np.where(p <= 0.5 + 1e-12, np.inf, den * (1 - h) - alphas + (2 - delta) * m)
+        f2, p2 = K.f2_values(alphas, delta, gamma, eta)
+        assert np.allclose(p2, p, rtol=0, atol=1e-12)
+        finite = np.isfinite(f)
+        assert np.array_equal(finite, np.isfinite(f2))
+        assert np.allclose(f2[finite], f[finite], rtol=0, atol=1e-12)
+        # one batched F1 call equals one call per alpha, on both branches
+        for curve in (False, True):
+            batch = K.f1_values(alphas, delta, gamma, eta, 1e-12, curve)
+            single = [K.f1_values(np.array([a]), delta, gamma, eta, 1e-12, curve)
+                      for a in alphas]
+            for k in range(3):
+                col = np.array([out[k][0] for out in single])
+                assert np.array_equal(batch[k], col, equal_nan=True)
 
     def test_curve_extends_where_definitional_is_inf(self):
         # two labels past the stationary threshold: curve finite, branch inf

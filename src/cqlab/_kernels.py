@@ -1,15 +1,18 @@
-"""Hot numeric kernels with two builds.
+"""Hot numeric kernels.
 
-Default build compiles the kernels with numba @njit; setting CQLAB_NO_NUMBA=1
-(or running without numba installed) selects the fallback build, which runs
-the same loops interpreted for the alternating-structure DFS and the
-dense-bound evaluators, and a vectorized NumPy count for the matching scan.
-The dense formulas f, f', p and the entropy live here only; `bounds` calls
-them. `python3 cqbench/run.py` times the kernels through their callers.
+The alternating-structure DFS and the dense-bound evaluators have two builds:
+the default compiles them with numba @njit; setting CQLAB_NO_NUMBA=1 (or
+running without numba installed) selects the fallback build, which runs the
+same loops interpreted. The matching scans are vectorised NumPy on both
+builds: one partner table lists every matching in lexicographic order, and
+the scans compare labels over it in row chunks. The dense formulas f, f', p
+and the entropy live here only; `bounds` calls them. `python3 cqbench/run.py`
+times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
-  * matchings inside kernels: partner array, partner[v] = matched vertex or -1;
+  * matchings inside kernels: partner array, partner[v] = matched vertex or -1,
+    one row of the int8 partner table per matching;
   * red/blue graphs: red edge i joins vertices 2i and 2i+1, so the red partner
     of v is v ^ 1; blue adjacency is CSR (indptr, indices), vertices 0-based.
 """
@@ -38,173 +41,46 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
-# minimum-critical matching enumeration
+# matching enumeration
 # ---------------------------------------------------------------------------
 
-def _min_critical_core(lab, n, m):
-    # Iterative backtracking over all size-m matchings of K_n, in lexicographic
-    # order of the sorted edge list (partner candidates ascending, then the
-    # skip branch last), so keeping the first strict improvement realizes the
-    # documented tie-break. Returns (min critical count, argmin matching).
-    partner = np.full(n, -1, np.int64)
-    fu = np.zeros(n + 2, np.int64)
-    fnext = np.zeros(n + 2, np.int64)  # next partner; ==n: skip branch; ==n+1: done
-    fprev = np.full(n + 2, -1, np.int64)
-    fch = np.zeros(n + 2, np.int64)
-    best = np.int64(1) << 62
-    best_edges = np.full((m, 2), -1, np.int64)
-
-    depth = 0
-    fu[0] = 0
-    fnext[0] = 1
-    fprev[0] = -1
-    fch[0] = 0
-    while depth >= 0:
-        u = fu[depth]
-        if fprev[depth] >= 0:
-            partner[u] = -1
-            partner[fprev[depth]] = -1
-            fprev[depth] = -1
-        nxt = fnext[depth]
-        if nxt < n:
-            v = nxt
-            while v < n and partner[v] >= 0:
-                v += 1
-            if v >= n:
-                fnext[depth] = n
-                continue
-            fnext[depth] = v + 1
-            partner[u] = v
-            partner[v] = u
-            fprev[depth] = v
-            ch = fch[depth] + 1
-            if ch == m:
-                c = np.int64(0)
-                for a in range(n):
-                    pa = partner[a]
-                    for b in range(a + 1, n):
-                        if pa == b:
-                            continue
-                        pb = partner[b]
-                        if pa < 0 and pb < 0:
-                            continue
-                        lab_ab = lab[a, b]
-                        if (pa >= 0 and lab[a, pa] > lab_ab) or (
-                            pb >= 0 and lab[b, pb] > lab_ab
-                        ):
-                            c += 1
-                if c < best:
-                    best = c
-                    idx = 0
-                    for a in range(n):
-                        b2 = partner[a]
-                        if b2 > a:
-                            best_edges[idx, 0] = a
-                            best_edges[idx, 1] = b2
-                            idx += 1
-            else:
-                w = u + 1
-                while w < n and partner[w] >= 0:
-                    w += 1
-                if w < n:
-                    depth += 1
-                    fu[depth] = w
-                    fnext[depth] = w + 1
-                    fprev[depth] = -1
-                    fch[depth] = ch
-            continue
-        if nxt == n:
-            fnext[depth] = n + 1
-            free_after = 0
-            for w in range(u + 1, n):
-                if partner[w] < 0:
-                    free_after += 1
-            if free_after >= 2 and fch[depth] + free_after // 2 >= m:
-                w = u + 1
-                while w < n and partner[w] >= 0:
-                    w += 1
-                ch0 = fch[depth]
-                depth += 1
-                fu[depth] = w
-                fnext[depth] = w + 1
-                fprev[depth] = -1
-                fch[depth] = ch0
-            continue
-        depth -= 1
-    return best, best_edges
+# rows per vectorised step of the matching scans; bounds the temporaries at a
+# few hundred kB whatever the table size
+_SCAN_ROWS = 1024
 
 
-def iter_matchings(n: int, m: int):
-    """Yield all size-m matchings of K_n (0-based) as sorted edge tuples,
-    in lexicographic order of the sorted edge list."""
-    used = [False] * n
-    edges: list[tuple[int, int]] = []
-
-    def rec(u: int, chosen: int):
-        if chosen == m:
-            yield tuple(edges)
-            return
-        while u < n and used[u]:
-            u += 1
-        if u >= n:
-            return
-        free_after = 0
-        for w in range(u + 1, n):
-            if not used[w]:
-                free_after += 1
-        used[u] = True
-        for v in range(u + 1, n):
-            if not used[v]:
-                used[v] = True
-                edges.append((u, v))
-                yield from rec(u + 1, chosen + 1)
-                edges.pop()
-                used[v] = False
-        used[u] = False
-        if chosen + free_after // 2 >= m:
-            yield from rec(u + 1, chosen)
-
-    yield from rec(0, 0)
+def _matching_table(n, m):
+    """Every size-m matching of K_n as one row of an int8 (rows, n) partner
+    table (row[v] = v's partner, or -1 when v is unmatched). Rows come in
+    lexicographic order of the sorted edge list."""
+    rows = math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2))
+    table = np.empty((rows, n), np.int8)
+    if m == 0:
+        table.fill(-1)
+        return table
+    # vertex 0 matched to v = 1, 2, ...: those edge lists start with (0, v);
+    # the rest is the (n-2, m-1) table mapped in order onto the other vertices
+    sub = _matching_table(n - 2, m - 1)
+    r = 0
+    for v in range(1, n):
+        rest = np.delete(np.arange(1, n, dtype=np.int8), v - 1)
+        block = table[r:r + len(sub)]
+        block[:, 0] = v
+        block[:, v] = 0
+        block[:, rest] = np.where(sub >= 0, rest[sub], -1)
+        r += len(sub)
+    # vertex 0 unmatched: every edge list here starts at a vertex above 0
+    if r < rows:
+        sub = _matching_table(n - 1, m)
+        table[r:, 0] = -1
+        table[r:, 1:] = np.where(sub >= 0, sub + 1, -1)
+    return table
 
 
-def _min_critical_numpy(lab, n, m, chunk=4096):
-    # Fallback: matchings come from the Python generator (same order as the
-    # compiled kernel); critical counts are evaluated vectorized per chunk.
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rows = np.arange(n)[None, :]
-    best = None
-    best_edges = None
-
-    def flush(partners, edge_lists):
-        nonlocal best, best_edges
-        P = np.asarray(partners, dtype=np.int64)
-        cov = np.where(P >= 0, lab[rows, np.clip(P, 0, n - 1)], np.int64(-1))
-        counts = np.zeros(P.shape[0], dtype=np.int64)
-        for a, b in pairs:
-            lab_ab = lab[a, b]
-            crit = ((cov[:, a] > lab_ab) | (cov[:, b] > lab_ab)) & (P[:, a] != b)
-            counts += crit
-        i = int(np.argmin(counts))
-        if best is None or counts[i] < best:
-            best = int(counts[i])
-            best_edges = edge_lists[i]
-
-    partners: list[list[int]] = []
-    edge_lists: list[tuple] = []
-    for edges in iter_matchings(n, m):
-        p = [-1] * n
-        for a, b in edges:
-            p[a] = b
-            p[b] = a
-        partners.append(p)
-        edge_lists.append(edges)
-        if len(partners) >= chunk:
-            flush(partners, edge_lists)
-            partners, edge_lists = [], []
-    if partners:
-        flush(partners, edge_lists)
-    out = np.asarray(best_edges, dtype=np.int64).reshape(m, 2)
-    return best, out
+def _row_edges(row):
+    # sorted (m, 2) edge list of one partner-table row
+    low = np.flatnonzero(row > np.arange(len(row)))
+    return np.column_stack((low, row[low])).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +287,7 @@ def _f1_batch_core(alphas, d, g, eta, mtol, curve):
     out_m = np.empty(nd)
     out_p = np.empty(nd)
     for i in range(nd):
-        a = alphas[i]
+        a = float(alphas[i])
         m1, ok = _solve_m1_val(a, d, g, eta, mtol)
         if ok == 0.0 and curve == 0:
             out_f[i] = np.inf
@@ -429,7 +305,7 @@ def _f2_batch_core(alphas, d, g, eta):
     out_f = np.empty(nd)
     out_p = np.empty(nd)
     for i in range(nd):
-        a = alphas[i]
+        a = float(alphas[i])
         m = 0.5 * a
         out_f[i] = _f_val(m, a, d, g, eta)
         out_p[i] = _p_val(m, a, g, eta)
@@ -441,7 +317,6 @@ def _f2_batch_core(alphas, d, g, eta):
 # ---------------------------------------------------------------------------
 
 if HAVE_NUMBA:
-    _min_critical_njit = _njit(cache=True)(_min_critical_core)
     _max_blue_njit = _njit(cache=True)(_max_blue_core)
     _has_cycle_njit = _njit(cache=True)(_has_cycle_core)
     _entropy_val = _njit(cache=True)(_entropy_val)
@@ -456,14 +331,45 @@ if HAVE_NUMBA:
 
 def min_critical_scan(lab: np.ndarray, size: int):
     """Exact (min critical count, argmin matching edges) over all size-`size`
-    matchings of the labeled K_n given as a 0-based (n, n) int64 matrix."""
+    matchings of the labeled K_n given as a 0-based (n, n) int64 matrix. Ties
+    keep the first matching in lexicographic order of the sorted edge list."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
     n = lab.shape[0]
-    if HAVE_NUMBA:
-        best, edges = _min_critical_njit(lab, n, size)
-        return int(best), edges
-    best, edges = _min_critical_numpy(lab, n, size)
-    return int(best), edges
+    table = _matching_table(n, size)
+    a, b = np.triu_indices(n, 1)
+    lab_ab = lab[a, b]
+    verts = np.arange(n)
+    best, best_row = -1, None
+    for s in range(0, len(table), _SCAN_ROWS):
+        P = table[s:s + _SCAN_ROWS]
+        # label of the matching edge covering each vertex; -1 when uncovered,
+        # below every label, so an uncovered endpoint never makes (a, b) critical
+        cov = np.where(P >= 0, lab[verts, P], -1)
+        crit = ((cov[:, a] > lab_ab) | (cov[:, b] > lab_ab)) & (P[:, a] != b)
+        counts = crit.sum(axis=1)
+        i = int(np.argmin(counts))
+        if best < 0 or counts[i] < best:
+            best, best_row = int(counts[i]), P[i]
+    return best, _row_edges(best_row)
+
+
+def anti_lex_scan(lab: np.ndarray, size: int):
+    """Edges of the size-`size` matching of K_n whose edge labels, sorted from
+    the largest down, form the lexicographically smallest sequence; ties keep
+    the first matching in lexicographic order of the sorted edge list."""
+    lab = np.ascontiguousarray(lab, dtype=np.int64)
+    n = lab.shape[0]
+    table = _matching_table(n, size)
+    verts = np.arange(n)
+    best_key, best_row = None, None
+    for s in range(0, len(table), _SCAN_ROWS):
+        P = table[s:s + _SCAN_ROWS]
+        # each row's matching-edge labels (read at the lower endpoint), largest first
+        keys = np.sort(lab[verts, P][P > verts].reshape(len(P), size), axis=1)[:, ::-1]
+        i = int(np.lexsort(keys.T[::-1])[0])  # stable: first row of the minimal key
+        if best_key is None or tuple(keys[i]) < best_key:
+            best_key, best_row = tuple(keys[i]), P[i]
+    return _row_edges(best_row)
 
 
 def alt_path_max_blue(indptr: np.ndarray, indices: np.ndarray, nv: int) -> int:

@@ -80,9 +80,9 @@ def has_alternating_cycle(g: RedBlueGraph) -> bool:
 def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
     """Exact maximum blue-edge count over alternating paths; requires a
     cycle-free graph (raises CyclePresent otherwise)."""
-    if has_alternating_cycle(g):
-        raise CyclePresent("cycle present: the path maximum is undefined")
     indptr, indices = g.csr()
+    if _kernels.alt_cycle_exists(indptr, indices, g.num_vertices):
+        raise CyclePresent("cycle present: the path maximum is undefined")
     return _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
 
 

@@ -310,8 +310,8 @@ def min_critical_matching_bruteforce(
     """Exact minimum of the critical count over all size-`size` matchings.
 
     Ties break to the lexicographically smallest sorted edge list. The scan
-    runs on the compiled kernel (or its fallback), so K_16 perfect matchings
-    (2,027,025 of them) stay tractable.
+    counts critical edges vectorised over a table of all matchings, so K_16
+    perfect matchings (2,027,025 of them) take seconds.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
@@ -333,14 +333,8 @@ def anti_lex_min_matching(labeling: EdgeLabeling, size: int, cap: int | None = N
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
     _check_cap(labeling.n, cap)
-    best_key = None
-    best = None
-    for edges in _kernels.iter_matchings(labeling.n, size):
-        key = tuple(sorted((labeling.label(u + 1, v + 1) for u, v in edges), reverse=True))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = edges
-    return Matching(tuple((u + 1, v + 1) for u, v in best))
+    edges0 = _kernels.anti_lex_scan(labeling.matrix0(), size)
+    return Matching(tuple((int(a) + 1, int(b) + 1) for a, b in edges0))
 
 
 def random_labeling(n: int, ell, seed: int = 0) -> EdgeLabeling:
@@ -395,15 +389,8 @@ def switch_local_search(
         (min(a, b), max(a, b)) for a, b in zip(verts[0::2], verts[1::2])
     )
 
-    def partner_of(es):
-        p = {}
-        for a, b in es:
-            p[a] = b
-            p[b] = a
-        return p
-
-    def try_outward(es, p):
-        covered = set(p)
+    def try_outward(es):
+        covered = {v for e in es for v in e}
         free = [v for v in range(1, n + 1) if v not in covered]
         for a, b in es:
             wm = w(a, b)
@@ -415,7 +402,7 @@ def switch_local_search(
                         return True
         return False
 
-    def try_pair_switch(es, p):
+    def try_pair_switch(es):
         k = len(es)
         for i in range(k):
             a, b = es[i]
@@ -431,7 +418,7 @@ def switch_local_search(
                         return True
         return False
 
-    def try_cycle(es, p):
+    def try_cycle(es):
         # alternating cycles over >= 2 matching edges; exit vertex walks by a
         # non-matching edge to the next matched pair. Prune on the largest
         # possible future saving (the total weight of unused matching edges).
@@ -449,7 +436,7 @@ def switch_local_search(
             if len(used) >= 2 and bcur != a0:
                 closing = delta + w(bcur, a0)
                 if closing < 0:
-                    result = ("close", list(used))
+                    result = list(used)
                     return
             if delta - remaining >= 0:
                 return
@@ -474,7 +461,7 @@ def switch_local_search(
                 start = [(i0, a0, b0)]
                 dfs(i0, a0, b0, start, -wm[i0], total - wm[i0])
                 if result is not None:
-                    kind, chain = result
+                    chain = result
                     new_edges = [es[j] for j in range(k) if j not in {c[0] for c in chain}]
                     for (j1, a1, b1), (j2, a2, b2) in zip(chain, chain[1:]):
                         new_edges.append((min(b1, a2), max(b1, a2)))
@@ -484,15 +471,8 @@ def switch_local_search(
                     return True
         return False
 
-    while True:
-        p = partner_of(edges)
-        if try_outward(edges, p):
-            continue
-        if try_pair_switch(edges, p):
-            continue
-        if try_cycle(edges, p):
-            continue
-        break
+    while try_outward(edges) or try_pair_switch(edges) or try_cycle(edges):
+        pass
     return Matching(tuple(edges))
 
 

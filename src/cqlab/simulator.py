@@ -13,7 +13,7 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import AdaptivityViolation, BudgetExceeded
@@ -396,29 +396,11 @@ def greedy_block_runner(g: RevealedGraph, block, seed, share, ell) -> RunResult:
     """Adapter running the fully adaptive greedy inside one block; the derived
     seed drives only the scan order, the graph bits stay the parent's."""
     res = greedy_clique(g, share, vertices=block, scan_seed=seed)
-    return RunResult(
-        vertices=res.vertices,
-        is_clique=res.is_clique,
-        density=res.density,
-        queries_used=res.queries_used,
-        rounds_used=res.rounds_used,
-        budget=share,
-        meta={"strategy": "greedy", "block": (block[0], block[-1])},
-    )
+    return replace(res, meta={"strategy": "greedy", "block": (block[0], block[-1])})
 
 
 def batched_block_runner(g: RevealedGraph, block, seed, share, ell) -> RunResult:
     """Adapter running the round-limited batched greedy inside one block."""
     strat = BatchedGreedyStrategy(g.n, seed=seed, budget=share, ell=ell, vertices=block)
     res = run_l_adaptive(g, strat, delta=1.0, ell=ell, budget=share)
-    meta = dict(res.meta)
-    meta["block"] = (block[0], block[-1])
-    return RunResult(
-        vertices=res.vertices,
-        is_clique=res.is_clique,
-        density=res.density,
-        queries_used=res.queries_used,
-        rounds_used=res.rounds_used,
-        budget=share,
-        meta=meta,
-    )
+    return replace(res, meta={**res.meta, "block": (block[0], block[-1])})

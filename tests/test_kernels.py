@@ -1,8 +1,13 @@
-"""Backend parity: the compiled kernels and the fallback path must agree.
+"""Kernel checks: the matching table against an itertools enumeration, and
+the compiled kernels against their interpreted fallback.
 
 When numba is active (the default build) the fallback implementations are
-still importable, so both sides run here regardless of CQLAB_NO_NUMBA.
+still importable, so both sides of the DFS and dense-bound parity tests run
+here regardless of CQLAB_NO_NUMBA. The matching scans built on the table are
+checked against itertools oracles in tests/test_labeled_graphs.py.
 """
+import itertools
+import math
 import random
 
 import numpy as np
@@ -11,41 +16,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import _kernels as K
-from cqlab.labeled_graphs import random_labeling
 from cqlab.alternating import RedBlueGraph, red_partner
 
 
-def _random_lab_matrix(n, ell, seed):
-    lab = random_labeling(n, ell, seed=seed)
-    return lab.matrix0()
+def _itertools_matchings(n, m):
+    # combinations of the sorted edge list come out in lexicographic order
+    edges = itertools.combinations(range(n), 2)
+    return [c for c in itertools.combinations(edges, m)
+            if len({v for e in c for v in e}) == 2 * m]
 
 
-class TestMatchingScanParity:
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_min_and_argmin_agree(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice([4, 5, 6, 7, 8])
-        m = rng.randint(1, n // 2)
-        lab = _random_lab_matrix(n, rng.choice([2, 3]), seed)
-        c1, e1 = K._min_critical_numpy(lab, n, m)
-        c0, e0 = K._min_critical_core(lab, n, m)  # interpreted compiled-path loop
-        assert int(c0) == int(c1)
-        assert np.array_equal(np.asarray(e0), np.asarray(e1).reshape(m, 2))
-        if K.HAVE_NUMBA:
-            c2, e2 = K._min_critical_njit(lab, n, m)
-            assert int(c2) == int(c1)
-            assert np.array_equal(np.asarray(e2), np.asarray(e1).reshape(m, 2))
+class TestMatchingTable:
+    def test_order_is_lexicographic(self):
+        for n in range(2, 10):
+            for m in range(1, n // 2 + 1):
+                rows = [tuple(map(tuple, K._row_edges(row).tolist()))
+                        for row in K._matching_table(n, m)]
+                assert rows == _itertools_matchings(n, m)
 
-    def test_generator_order_is_lexicographic(self):
-        seen = list(K.iter_matchings(5, 2))
-        assert seen == sorted(seen)
-        assert len(seen) == 15
-
-    def test_generator_counts_perfect(self):
-        # (2m-1)!! perfect matchings of K_{2m}
-        assert sum(1 for _ in K.iter_matchings(6, 3)) == 15
-        assert sum(1 for _ in K.iter_matchings(8, 4)) == 105
+    def test_counts(self):
+        for n in range(2, 10):
+            for m in range(1, n // 2 + 1):
+                table = K._matching_table(n, m)
+                # C(n, 2m) vertex sets times (2m-1)!! perfect matchings of each
+                rows = math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2))
+                assert table.shape == (rows, n) == (len(_itertools_matchings(n, m)), n)
+                assert table.dtype == np.int8
+                assert np.all((table == -1).sum(axis=1) == n - 2 * m)
+                matched = table >= 0
+                back = np.take_along_axis(table, np.where(matched, table, 0), axis=1)
+                assert np.array_equal(back[matched], np.nonzero(matched)[1])
 
 
 class TestDfsParity:

@@ -228,11 +228,13 @@ class TestBruteForceMinimum:
         assert rep.critical_count == 2
 
     def test_single_label_all_zero_lex_tiebreak(self):
-        lab = EdgeLabeling.constant(8, num_labels=1)
-        m, rep = min_critical_matching_bruteforce(lab, 3)
-        assert rep.critical_count == 0
-        # all counts tie at 0: the lexicographically smallest edge list wins
-        assert m.edges == ((1, 2), (3, 4), (5, 6))
+        # K_10 with 4 edges has 4725 matchings, more than one scan chunk
+        for n, size in ((8, 3), (10, 4)):
+            lab = EdgeLabeling.constant(n, num_labels=1)
+            m, rep = min_critical_matching_bruteforce(lab, size)
+            assert rep.critical_count == 0
+            # all counts tie at 0: the lexicographically smallest edge list wins
+            assert m.edges == tuple((2 * i + 1, 2 * i + 2) for i in range(size))
 
     def test_cap_guard(self):
         lab = EdgeLabeling.constant(8, num_labels=1)
@@ -248,17 +250,18 @@ class TestBruteForceMinimum:
         min_critical_matching_bruteforce(lab, 3)
 
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_matches_itertools_oracle(self, seed):
         rng = random.Random(seed)
-        n = rng.choice([4, 5, 6, 7])
+        n = rng.choice([4, 5, 6, 7, 8])
         size = rng.randint(1, n // 2)
         lab = random_labeling(n, rng.choice([2, 3, INFINITE]), seed=seed)
-        best = min(
-            oracle_count(lab, Matching(m)) for m in oracle_all_matchings(n, size)
-        )
-        _, rep = min_critical_matching_bruteforce(lab, size)
+        counts = {m: oracle_count(lab, Matching(m)) for m in oracle_all_matchings(n, size)}
+        best = min(counts.values())
+        m, rep = min_critical_matching_bruteforce(lab, size)
         assert rep.critical_count == best
+        # ties break to the first minimiser in sorted-edge-list order
+        assert m.edges == min(e for e, c in counts.items() if c == best)
 
     def test_two_label_n8_value(self):
         lab = make_construction(TWO_LABEL, 8)

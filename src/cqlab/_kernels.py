@@ -1,13 +1,19 @@
 """Hot numeric kernels.
 
-The alternating-structure DFS and the dense-bound evaluators have two builds:
-the default compiles them with numba @njit; setting CQLAB_NO_NUMBA=1 (or
-running without numba installed) selects the fallback build, which runs the
-same loops interpreted. The matching scans are vectorised NumPy on both
-builds: one partner table lists every matching in lexicographic order, and
-the scans compare labels over it in row chunks. The dense formulas f, f', p
-and the entropy live here only; `bounds` calls them. `python3 cqbench/run.py`
-times the kernels through their callers.
+The alternating-structure loops and the dense-bound evaluators have two
+builds: the default compiles them with numba @njit; setting CQLAB_NO_NUMBA=1
+(or running without numba installed) selects the fallback build, which runs
+the same loops interpreted. The alternating checks are certificate-first: a
+linear pass computes the longest path of the digraph with an arc v -> w^1 per
+blue edge {v, w} (both ways). When that digraph is acyclic there is no
+alternating cycle, and the exact path DFS stops as soon as a path reaches
+its length; the answer always comes from the DFS. Only a cyclic digraph runs
+the exact cycle DFS, and only a path maximum below the bound (or a cyclic
+digraph) makes the path DFS exhaustive. The matching scans are vectorised
+NumPy on both builds: one partner table lists every matching in
+lexicographic order, and the scans compare labels over it in row chunks.
+The dense formulas f, f', p and the entropy live here only; `bounds` calls
+them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -87,8 +93,48 @@ def _row_edges(row):
 # alternating-structure DFS
 # ---------------------------------------------------------------------------
 
-def _max_blue_core(indptr, indices, nv):
-    # Exact maximum number of blue edges over vertex-simple alternating paths.
+def _dag_bound_core(indptr, indices, nv):
+    # Longest path, in arcs, of the digraph D with an arc v -> w^1 for each
+    # blue edge {v, w} taken both ways (node v: "just crossed a red edge into
+    # v"), or -1 when D has a directed cycle. An alternating cycle is a closed
+    # walk in D and a vertex-simple alternating path with b blue edges a
+    # b-arc walk, so an acyclic D rules out cycles and bounds the path
+    # maximum. Kahn's order: a node is settled once all its in-arcs are.
+    indeg = np.zeros(nv, np.int64)
+    for p in range(indptr[nv]):
+        indeg[indices[p] ^ 1] += 1
+    order = np.empty(nv, np.int64)
+    dist = np.zeros(nv, np.int64)
+    tail = 0
+    for v in range(nv):
+        if indeg[v] == 0:
+            order[tail] = v
+            tail += 1
+    best = 0
+    head = 0
+    while head < tail:
+        v = order[head]
+        head += 1
+        d = dist[v] + 1
+        for p in range(indptr[v], indptr[v + 1]):
+            u = indices[p] ^ 1
+            if dist[u] < d:
+                dist[u] = d
+                if d > best:
+                    best = d
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                order[tail] = u
+                tail += 1
+    if tail < nv:
+        return -1
+    return best
+
+
+def _max_blue_core(indptr, indices, nv, cap):
+    # Exact maximum number of blue edges over vertex-simple alternating paths,
+    # or cap as soon as some path reaches it (cap >= the true maximum makes
+    # the answer exact; cap = nv never triggers).
     # DFS over "about to take a blue edge" states; any maximum is attained by
     # a path that starts and ends with blue (leading/trailing red edges only
     # add vertices), so starting before-blue at every vertex is exhaustive.
@@ -115,6 +161,8 @@ def _max_blue_core(indptr, indices, nv):
                     continue
                 if blue + 1 > best:
                     best = blue + 1
+                    if best >= cap:
+                        return best
                 w2 = w ^ 1
                 if not visited[w2]:
                     sp[depth] = p
@@ -317,6 +365,7 @@ def _f2_batch_core(alphas, d, g, eta):
 # ---------------------------------------------------------------------------
 
 if HAVE_NUMBA:
+    _dag_bound_njit = _njit(cache=True)(_dag_bound_core)
     _max_blue_njit = _njit(cache=True)(_max_blue_core)
     _has_cycle_njit = _njit(cache=True)(_has_cycle_core)
     _entropy_val = _njit(cache=True)(_entropy_val)
@@ -372,13 +421,29 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     return _row_edges(best_row)
 
 
-def alt_path_max_blue(indptr: np.ndarray, indices: np.ndarray, nv: int) -> int:
+def _dag_bound(indptr, indices, nv):
     if HAVE_NUMBA:
-        return int(_max_blue_njit(indptr, indices, nv))
-    return int(_max_blue_core(indptr, indices, nv))
+        return int(_dag_bound_njit(indptr, indices, nv))
+    return int(_dag_bound_core(indptr, indices, nv))
+
+
+def alt_path_max_blue(indptr: np.ndarray, indices: np.ndarray, nv: int) -> int:
+    """Exact blue maximum over alternating paths. The DFS stops at the first
+    path that reaches the digraph bound; with a cyclic digraph the cap is
+    nv // 2, which only a path through every vertex reaches."""
+    bound = _dag_bound(indptr, indices, nv)
+    cap = bound if bound >= 0 else nv // 2
+    if HAVE_NUMBA:
+        return int(_max_blue_njit(indptr, indices, nv, cap))
+    return int(_max_blue_core(indptr, indices, nv, cap))
 
 
 def alt_cycle_exists(indptr: np.ndarray, indices: np.ndarray, nv: int) -> bool:
+    """Exact alternating-cycle test: an acyclic digraph answers False at
+    once; only a cyclic one runs the DFS, since a closed walk there need not
+    contain a vertex-simple cycle."""
+    if _dag_bound(indptr, indices, nv) >= 0:
+        return False
     if HAVE_NUMBA:
         return bool(_has_cycle_njit(indptr, indices, nv))
     return bool(_has_cycle_core(indptr, indices, nv))

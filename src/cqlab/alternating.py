@@ -8,6 +8,7 @@ alternating cycle and no alternating path carrying k or more blue edges.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,33 +54,33 @@ class RedBlueGraph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """0-based blue adjacency in CSR form for the kernels."""
-        nv = self.num_vertices
-        deg = np.zeros(nv + 1, dtype=np.int64)
-        for u, v in self.blue_edges:
-            deg[u] += 1  # shifted by one row for the running sum
-            deg[v] += 1
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(deg[1:], out=indptr[1:])
-        indices = np.zeros(int(indptr[-1]), dtype=np.int64)
-        cursor = indptr[:-1].copy()
+        nbrs = [[] for _ in range(self.num_vertices)]
         for u, v in sorted(self.blue_edges):
-            u0, v0 = u - 1, v - 1
-            indices[cursor[u0]] = v0
-            cursor[u0] += 1
-            indices[cursor[v0]] = u0
-            cursor[v0] += 1
+            nbrs[u - 1].append(v - 1)
+            nbrs[v - 1].append(u - 1)
+        indptr = np.array(list(itertools.accumulate(map(len, nbrs), initial=0)), dtype=np.int64)
+        indices = np.array([w for a in nbrs for w in a], dtype=np.int64)
         return indptr, indices
 
 
 def has_alternating_cycle(g: RedBlueGraph) -> bool:
-    """Exact DFS over alternating closed walks with a visited-vertex set."""
+    """Exact alternating-cycle test. The digraph on the 2x vertices with an
+    arc v -> w' (w' the red partner of w) for each blue edge {v, w}, both
+    ways, carries every alternating cycle as a closed walk, so when it is
+    acyclic the answer is False at once. Otherwise an exact DFS over
+    vertex-simple alternating closed walks decides: a closed walk of the
+    digraph need not contain a simple alternating cycle."""
     indptr, indices = g.csr()
     return _kernels.alt_cycle_exists(indptr, indices, g.num_vertices)
 
 
 def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
     """Exact maximum blue-edge count over alternating paths; requires a
-    cycle-free graph (raises CyclePresent otherwise)."""
+    cycle-free graph (raises CyclePresent otherwise). The longest path L of
+    the digraph of has_alternating_cycle bounds the count, since a path with
+    b blue edges is a b-arc walk there; the exact DFS stops at the first
+    path with L blue edges and searches exhaustively only when none exists.
+    A cyclic digraph gives no bound, and the DFS then caps at x."""
     indptr, indices = g.csr()
     if _kernels.alt_cycle_exists(indptr, indices, g.num_vertices):
         raise CyclePresent("cycle present: the path maximum is undefined")
@@ -198,9 +199,10 @@ def beta_bruteforce(k: int, x: int, cap_pairs: int | None = None) -> int:
         if len(chosen) <= best:
             continue
         g = RedBlueGraph(num_red=x, blue_edges=frozenset(chosen))
-        if has_alternating_cycle(g):
-            continue
-        if max_blue_in_alternating_path(g) >= k:
+        try:
+            if max_blue_in_alternating_path(g) >= k:
+                continue
+        except CyclePresent:
             continue
         best = len(chosen)
     return best

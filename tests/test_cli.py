@@ -141,6 +141,23 @@ class TestBetaCommands:
         code, out, _ = run(capsys, "beta", "check", str(target), "--k", "3")
         assert code == 1  # 3 blue edges in a path >= k = 3
 
+    def test_check_large_construction(self, capsys, tmp_path):
+        # k=6, x=60 holds 2,970 blue edges: the digraph bound (5) ends the
+        # path DFS at the first path with five blue edges
+        target = tmp_path / "k6.rbg"
+        code, _, _ = run(capsys, "beta", "build", "--k", "6", "--x", "60",
+                         "--out", str(target))
+        assert code == 0
+        code, out, _ = run(capsys, "beta", "check", str(target), "--k", "6",
+                           "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["max_blue_path"] == 5
+        assert payload["cycle_free"] is True
+        code, out, _ = run(capsys, "beta", "check", str(target), "--k", "5")
+        assert code == 1
+        assert out.strip() == "5"
+
     def test_check_cycle_errors(self, capsys, tmp_path):
         target = tmp_path / "cyc.rbg"
         target.write_text("2\n1 3\n2 4\n")

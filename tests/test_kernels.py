@@ -1,5 +1,7 @@
-"""Kernel checks: the matching table against an itertools enumeration, and
-the compiled kernels against their interpreted fallback.
+"""Kernel checks: the matching table against an itertools enumeration, the
+compiled kernels against their interpreted fallback, and the certificate-first
+alternating kernels against the uncapped DFS cores and the itertools path
+oracle of tests/test_alternating.py.
 
 When numba is active (the default build) the fallback implementations are
 still importable, so both sides of the DFS and dense-bound parity tests run
@@ -16,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import _kernels as K
-from cqlab.alternating import RedBlueGraph, red_partner
+from cqlab.alternating import (
+    RedBlueGraph,
+    build_even_k,
+    build_odd_k,
+    has_alternating_cycle,
+    max_blue_in_alternating_path,
+    red_partner,
+)
+from test_alternating import oracle_paths
 
 
 def _itertools_matchings(n, m):
@@ -48,30 +58,94 @@ class TestMatchingTable:
                 assert np.array_equal(back[matched], np.nonzero(matched)[1])
 
 
+def _random_graph(rng, max_x):
+    x = rng.randint(1, max_x)
+    nv = 2 * x
+    cand = [
+        (u, v)
+        for u in range(1, nv + 1)
+        for v in range(u + 1, nv + 1)
+        if red_partner(u) != v
+    ]
+    prob = rng.random()
+    return RedBlueGraph(num_red=x, blue_edges=frozenset(e for e in cand if rng.random() < prob))
+
+
 class TestDfsParity:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_interpreted_equals_compiled(self, seed):
-        rng = random.Random(seed)
-        x = rng.choice([2, 3, 4])
-        nv = 2 * x
-        cand = [
-            (u, v)
-            for u in range(1, nv + 1)
-            for v in range(u + 1, nv + 1)
-            if red_partner(u) != v
-        ]
-        blue = frozenset(e for e in cand if rng.random() < 0.4)
-        g = RedBlueGraph(num_red=x, blue_edges=blue)
+        g = _random_graph(random.Random(seed), 5)
+        nv = g.num_vertices
         indptr, indices = g.csr()
         cyc_py = K._has_cycle_core(indptr, indices, nv)
-        max_py = K._max_blue_core(indptr, indices, nv)
+        max_py = K._max_blue_core(indptr, indices, nv, nv)  # cap nv: exhaustive
+        bound = K._dag_bound_core(indptr, indices, nv)
         if K.HAVE_NUMBA:
             assert bool(K._has_cycle_njit(indptr, indices, nv)) == bool(cyc_py)
-            assert int(K._max_blue_njit(indptr, indices, nv)) == int(max_py)
+            assert int(K._max_blue_njit(indptr, indices, nv, nv)) == int(max_py)
+            assert int(K._dag_bound_njit(indptr, indices, nv)) == int(bound)
+        # the certificate-first public kernels equal the uncapped cores
         assert K.alt_cycle_exists(indptr, indices, nv) == bool(cyc_py)
-        if not cyc_py:
-            assert K.alt_path_max_blue(indptr, indices, nv) == int(max_py)
+        assert K.alt_path_max_blue(indptr, indices, nv) == int(max_py)
+        # and the bound is sound against the independent itertools oracle
+        obest, ocycles = oracle_paths(g)
+        assert int(max_py) == obest and bool(cyc_py) == ocycles
+        if ocycles:
+            assert bound == -1
+        assert bound == -1 or bound >= obest
+
+    def test_every_route_is_reached(self):
+        # over a fixed sample, each route of the public kernels answers some
+        # graph: the DFS stopping at the bound, the DFS exhausting below it,
+        # and the cycle DFS on a cyclic digraph. A cyclic digraph without an
+        # alternating cycle is rare here (3 in 3,000 draws), so a pinned case
+        # in TestDigraphBound covers it.
+        routes = set()
+        rng = random.Random(2024)
+        for _ in range(600):
+            g = _random_graph(rng, 5)
+            nv = g.num_vertices
+            indptr, indices = g.csr()
+            bound = K._dag_bound_core(indptr, indices, nv)
+            cyc = K._has_cycle_core(indptr, indices, nv)
+            best = K._max_blue_core(indptr, indices, nv, nv)
+            if bound < 0:
+                routes.add("cycle DFS" if cyc else "cycle DFS, none found")
+            else:
+                routes.add("stopped at bound" if best == bound else "exhausted below bound")
+        assert {"stopped at bound", "exhausted below bound", "cycle DFS"} <= routes
+
+
+class TestDigraphBound:
+    def test_bound_above_maximum_runs_the_dfs(self):
+        # both blue edges meet at vertex 1, so no path has two of them, but
+        # the digraph walk 1 -> 3 -> 2 (blue 1-4, red 4-3, blue 3-1, red 1-2)
+        # revisits vertex 1 and has length 2
+        g = RedBlueGraph(num_red=2, blue_edges=frozenset({(1, 3), (1, 4)}))
+        indptr, indices = g.csr()
+        assert K._dag_bound_core(indptr, indices, 4) == 2
+        assert K.alt_path_max_blue(indptr, indices, 4) == 1
+        assert max_blue_in_alternating_path(g) == 1
+
+    def test_cyclic_digraph_without_cycle(self):
+        # the graph of test_closed_walk_without_simple_cycle
+        g = RedBlueGraph(
+            num_red=3, blue_edges=frozenset({(1, 4), (1, 3), (2, 6), (2, 5)})
+        )
+        indptr, indices = g.csr()
+        assert K._dag_bound_core(indptr, indices, 6) == -1
+        assert has_alternating_cycle(g) is False
+        assert max_blue_in_alternating_path(g) == oracle_paths(g)[0]
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_constructions_bound_is_k_minus_1(self, k):
+        build = build_odd_k if k % 2 else build_even_k
+        for x in (k, 2 * k, 10 * k):
+            g = build(k, x)
+            indptr, indices = g.csr()
+            assert K._dag_bound_core(indptr, indices, g.num_vertices) == k - 1
+            assert max_blue_in_alternating_path(g) == k - 1
 
 
 class TestDenseEvalParity:

@@ -352,6 +352,52 @@ def random_labeling(n: int, ell, seed: int = 0) -> EdgeLabeling:
 # switch local search
 # ---------------------------------------------------------------------------
 
+def _weight_table(max_label: int, eps: Fraction) -> list[int]:
+    """Integer label weights: entry t is label_weight(t, eps) * q**(M-2) for
+    eps = p/q and M = max_label, entries 0 and 1 are 0. Built by the exact
+    recurrence label_weight(t+1) = 2 label_weight(t) + eps**(t-1), scaled:
+    wint[2] = q**(M-2) and wint[t] = 2 wint[t-1] + p**(t-2) q**(M-t)."""
+    p, q = eps.numerator, eps.denominator
+    wint = [0] * (max_label + 1)
+    if max_label >= 2:
+        wint[2] = q ** (max_label - 2)
+        for t in range(3, max_label + 1):
+            wint[t] = 2 * wint[t - 1] + p ** (t - 2) * q ** (max_label - t)
+    return wint
+
+
+def _exchange_has_negative_cycle(W, edges, wm) -> bool:
+    """Exact integer Bellman-Ford on the exchange digraph of a matching.
+
+    One node per (matching edge j, entry endpoint a); it leaves j at the other
+    endpoint b. The arc to the node entering j' != j at a' costs
+    W[b][a'] - wm[j'], so an alternating cycle through distinct matching
+    edges is a directed cycle whose cost is the weight change of its switch.
+    False therefore proves that no alternating cycle improves the matching.
+    True may come from a closed walk that uses a matching edge twice, which
+    is no switch, so it proves nothing.
+    """
+    nodes = [(j, a, b) for j, (c, d) in enumerate(edges) for a, b in ((c, d), (d, c))]
+    arcs = [
+        (s, t, W[b][a2] - wm[j2])
+        for s, (j, _, b) in enumerate(nodes)
+        for t, (j2, a2, _) in enumerate(nodes)
+        if j2 != j
+    ]
+    dist = [0] * len(nodes)
+    # without a negative cycle, every shortest walk has < len(nodes) arcs
+    for _ in range(len(nodes)):
+        changed = False
+        for s, t, c in arcs:
+            d = dist[s] + c
+            if d < dist[t]:
+                dist[t] = d
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
 def switch_local_search(
     labeling: EdgeLabeling, size: int, epsilon=None, seed: int = 0
 ) -> Matching:
@@ -364,6 +410,16 @@ def switch_local_search(
     weight, which lives in a finite set, so the search terminates. At the
     optimum there is no outward critical edge and no partner-pair of critical
     edges spanning two label classes.
+
+    Weights are exact integers: `label_weight` scaled by q**(M-2) (eps = p/q,
+    M the largest label), built once by its doubling recurrence and spread
+    over a 1-based vertex-pair table. Before the exhaustive alternating-cycle
+    DFS, a Bellman-Ford pass over the exchange digraph (one node per matching
+    edge and entry endpoint) looks for a negative cycle. Without one no
+    alternating cycle improves, and the search ends without the DFS; nearly
+    every search ends this way. With one, the unchanged DFS runs and finds
+    the improving cycle, or finds none because every negative cycle reuses a
+    matching edge. The result is the same as the DFS alone.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
@@ -374,14 +430,11 @@ def switch_local_search(
 
     n = labeling.n
     max_label = labeling.n * (labeling.n - 1) // 2 if is_infinite(ell) else int(ell)
+    if max_label >= 2 and eps <= 0:
+        raise ValueError("epsilon must be positive")
     # clear denominators once: integer weights keep the inner loops exact+fast
-    scale = eps.denominator ** max(max_label - 2, 0)
-    wint = [0, 0] + [
-        int(label_weight(t, eps, ell) * scale) for t in range(2, max_label + 1)
-    ]
-
-    def w(u, v):
-        return wint[labeling.label(u, v)]
+    wint = _weight_table(max_label, eps)
+    W = [[wint[t] for t in row] for row in labeling._m.tolist()]
 
     rng = random.Random(seed)
     verts = rng.sample(range(1, n + 1), 2 * size)
@@ -393,10 +446,11 @@ def switch_local_search(
         covered = {v for e in es for v in e}
         free = [v for v in range(1, n + 1) if v not in covered]
         for a, b in es:
-            wm = w(a, b)
+            wm = W[a][b]
             for x in (a, b):
+                Wx = W[x]
                 for c in free:
-                    if w(x, c) < wm:
+                    if Wx[c] < wm:
                         es.remove((a, b))
                         es.append((min(x, c), max(x, c)))
                         return True
@@ -408,9 +462,9 @@ def switch_local_search(
             a, b = es[i]
             for j in range(i + 1, k):
                 c, d = es[j]
-                base = w(a, b) + w(c, d)
+                base = W[a][b] + W[c][d]
                 for e1, e2 in (((a, c), (b, d)), ((a, d), (b, c))):
-                    if w(*e1) + w(*e2) < base:
+                    if W[e1[0]][e1[1]] + W[e2[0]][e2[1]] < base:
                         del es[j]
                         del es[i]
                         es.append((min(e1), max(e1)))
@@ -423,7 +477,9 @@ def switch_local_search(
         # non-matching edge to the next matched pair. Prune on the largest
         # possible future saving (the total weight of unused matching edges).
         k = len(es)
-        wm = [w(a, b) for a, b in es]
+        wm = [W[a][b] for a, b in es]
+        if not _exchange_has_negative_cycle(W, es, wm):
+            return False
         total = sum(wm)
         order = sorted(range(k), key=lambda i: (es[i],))
         result = None
@@ -432,9 +488,10 @@ def switch_local_search(
             nonlocal result
             if result is not None:
                 return
+            Wb = W[bcur]
             # close the cycle (needs >= 2 matching edges)
             if len(used) >= 2 and bcur != a0:
-                closing = delta + w(bcur, a0)
+                closing = delta + Wb[a0]
                 if closing < 0:
                     result = list(used)
                     return
@@ -445,7 +502,7 @@ def switch_local_search(
                     continue
                 c, d = es[j]
                 for anext, bnext in ((c, d), (d, c)):
-                    nd = delta + w(bcur, anext) - wm[j]
+                    nd = delta + Wb[anext] - wm[j]
                     used.append((j, anext, bnext))
                     used_set.add(j)
                     dfs(i0, a0, bnext, used, nd, remaining - wm[j])

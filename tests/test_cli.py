@@ -6,7 +6,14 @@ import pytest
 from cqlab import alternating, bounds
 from cqlab.cli import main
 from cqlab.common import INFINITE
-from cqlab.labeled_graphs import TWO_LABEL, make_construction, min_critical_matching_bruteforce
+from cqlab.labeled_graphs import (
+    LEX_INFINITE,
+    TWO_LABEL,
+    count_critical,
+    make_construction,
+    min_critical_matching_bruteforce,
+    switch_local_search,
+)
 
 
 def run(capsys, *argv):
@@ -67,6 +74,17 @@ class TestThinAdapter:
         _, rep = min_critical_matching_bruteforce(lab, 4)
         assert payload["critical_count"] == rep.critical_count
         assert payload["ratio"] == "2/7"
+
+    def test_gamma_verify_local_search_matches_library(self, capsys):
+        code, out, _ = run(capsys, "gamma", "verify", "--construction", "lex", "--n", "14",
+                           "--local-search", "--seed", "2", "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        lab = make_construction(LEX_INFINITE, 14)
+        m = switch_local_search(lab, 7, seed=2)
+        assert payload["method"] == "local-search"
+        assert payload["matching"] == [list(e) for e in m.edges]
+        assert payload["critical_count"] == count_critical(lab, m).critical_count
 
     def test_threshold(self, capsys):
         code, out, _ = run(capsys, "bounds", "threshold", "--delta", "1",
@@ -228,3 +246,9 @@ class TestErrorPaths:
         code, out, err = run(capsys, "bounds", "clique", "--delta", "1", "--ell", "1")
         assert code == 1
         assert "error:" in err
+
+    def test_local_search_nonpositive_epsilon_exit_1(self, capsys):
+        code, out, err = run(capsys, "gamma", "verify", "--construction", "lex", "--n", "8",
+                             "--local-search", "--epsilon", "0")
+        assert code == 1
+        assert "epsilon must be positive" in err

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import labeled_graphs
 from cqlab.common import INFINITE
 from cqlab.errors import InstanceTooLarge
 from cqlab.labeled_graphs import (
@@ -15,6 +18,8 @@ from cqlab.labeled_graphs import (
     TWO_LABEL,
     EdgeLabeling,
     Matching,
+    _exchange_has_negative_cycle,
+    _weight_table,
     anti_lex_min_matching,
     construction_blocks,
     construction_min_ratio_analytic,
@@ -33,6 +38,7 @@ from cqlab.labeled_graphs import (
     random_labeling,
     switch_local_search,
 )
+from cqlab.partition_bounds import default_epsilon
 
 
 # --- independent oracles kept inside the tests -----------------------------
@@ -390,6 +396,216 @@ class TestLocalSearch:
                         assert not (
                             is_critical(lab, m, *e) and is_critical(lab, m, *ep)
                         )
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("max_label", [1, 2, 3, 4, 45, 91, 120])
+    def test_equals_scaled_label_weight(self, max_label):
+        epsilons = [default_epsilon(ell) for ell in range(2, 7)] + [Fraction(1, 64), Fraction(3, 7)]
+        for eps in epsilons:
+            wint = _weight_table(max_label, eps)
+            assert len(wint) == max_label + 1 and wint[0] == 0
+            scale = Fraction(eps.denominator) ** (max_label - 2)
+            for t in range(1, max_label + 1):
+                exact = label_weight(t, eps, INFINITE) * scale
+                assert exact.denominator == 1
+                assert wint[t] == int(exact)
+
+    def test_nonpositive_epsilon_rejected(self):
+        lab = EdgeLabeling.lexicographic(8)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            switch_local_search(lab, 4, epsilon=0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            switch_local_search(lab, 4, epsilon="-1/4")
+
+
+# --- the exchange-digraph certificate against itertools oracles -----------
+
+def weight_matrix(lab, eps):
+    """1-based integer weights by vertex pair, read through label()."""
+    wint = _weight_table(lab.n * (lab.n - 1) // 2 if lab.num_labels == INFINITE
+                         else lab.num_labels, eps)
+    W = [[0] * (lab.n + 1) for _ in range(lab.n + 1)]
+    for u, v in lab.pairs():
+        W[u][v] = W[v][u] = wint[lab.label(u, v)]
+    return W
+
+
+def oracle_improving_cycle(W, edges, wm):
+    """Every ordered, oriented sequence of >= 2 distinct matching edges, each
+    left by its second endpoint and joined to the next one's first endpoint
+    (cyclically): is any switch cheaper than the edges it removes?"""
+    k = len(edges)
+    for r in range(2, k + 1):
+        for seq in itertools.permutations(range(k), r):
+            for flips in itertools.product((False, True), repeat=r):
+                ends = [edges[j][::-1] if f else edges[j] for j, f in zip(seq, flips)]
+                change = sum(W[ends[i - 1][1]][ends[i][0]] - wm[seq[i]] for i in range(r))
+                if change < 0:
+                    return True
+    return False
+
+
+def oracle_negative_digraph_cycle(W, edges, wm):
+    """Every simple directed cycle of the exchange digraph, each listed once
+    from its smallest node: is any of them negative?"""
+    nodes = [(j, a, b) for j, (c, d) in enumerate(edges) for a, b in ((c, d), (d, c))]
+    for s in range(len(nodes)):
+        rest = range(s + 1, len(nodes))
+        for r in range(1, len(rest) + 1):
+            for tail in itertools.permutations(rest, r):
+                cyc = [nodes[s]] + [nodes[i] for i in tail]
+                if any(cyc[i - 1][0] == cyc[i][0] for i in range(len(cyc))):
+                    continue
+                if sum(W[cyc[i - 1][2]][cyc[i][1]] - wm[cyc[i][0]] for i in range(len(cyc))) < 0:
+                    return True
+    return False
+
+
+def certificate_draws(count, seed, max_k=5):
+    """Per draw, a random matching and the local-search optimum from it:
+    random matchings nearly always improve, optima nearly never do."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(2, max_k)
+        n = rng.randint(2 * k, 10)
+        ell = rng.choice([2, 3, 4, INFINITE])
+        lab = random_labeling(n, ell, seed=rng.randrange(1 << 20))
+        verts = rng.sample(range(1, n + 1), 2 * k)
+        W = weight_matrix(lab, default_epsilon(ell))
+        for edges in ([tuple(sorted(verts[i:i + 2])) for i in range(0, 2 * k, 2)],
+                      list(switch_local_search(lab, k, seed=rng.randrange(1 << 20)).edges)):
+            yield W, edges, [W[a][b] for a, b in edges]
+
+
+# a local-search optimum whose exchange digraph has a negative closed walk
+# that reuses a matching edge, so the DFS runs and finds no improving cycle
+EXHAUSTS = (6, 3, 481)  # (n, ell, seed of the labeling and of the search)
+
+
+class TestExchangeCertificate:
+    def test_agrees_with_cycle_oracle(self):
+        outcomes = collections.Counter()
+        for W, edges, wm in certificate_draws(100, seed=5):
+            negative = _exchange_has_negative_cycle(W, edges, wm)
+            improving = oracle_improving_cycle(W, edges, wm)
+            # no negative cycle => no improving alternating cycle, and an
+            # improving alternating cycle => a negative cycle
+            assert negative or not improving
+            # on two matching edges every closed walk splits into 2-cycles,
+            # which are switches, so there the certificate is exact
+            assert improving or not negative or len(edges) >= 3
+            outcomes[negative, improving] += 1
+        assert outcomes[True, True] > 0 and outcomes[False, False] > 0
+
+    def test_exact_on_small_digraphs(self):
+        # Bellman-Ford decides negative cycles exactly, not just soundly
+        for W, edges, wm in certificate_draws(30, seed=6, max_k=4):
+            assert _exchange_has_negative_cycle(W, edges, wm) == \
+                oracle_negative_digraph_cycle(W, edges, wm)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_slowest_settling_path(self, k):
+        # one arc of cost -1 per step of the node path 2k-2, ..., 2, 0,
+        # 2k-1, ..., 3, 1 and cost 90 elsewhere: no negative cycle, but the
+        # relaxation (by source node) settles the path only in round 2k - 2
+        edges = [(2 * j + 1, 2 * j + 2) for j in range(k)]
+        W = [[0 if u == v else 100 for v in range(2 * k + 1)] for u in range(2 * k + 1)]
+        for a, b in edges:
+            W[a][b] = W[b][a] = 10
+        path = list(range(2 * k - 2, -1, -2)) + list(range(2 * k - 1, 0, -2))
+        leave = [b for c, d in edges for b in (d, c)]  # node 2j enters at c
+        enter = [a for c, d in edges for a in (c, d)]
+        for s, t in zip(path, path[1:]):
+            W[leave[s]][enter[t]] = 9
+        wm = [W[a][b] for a, b in edges]
+        assert not _exchange_has_negative_cycle(W, edges, wm)
+        assert not oracle_improving_cycle(W, edges, wm)
+
+    def test_negative_walk_without_improving_cycle(self):
+        n, ell, seed = EXHAUSTS
+        lab = random_labeling(n, ell, seed=seed)
+        edges = list(switch_local_search(lab, n // 2, seed=seed).edges)
+        assert edges == [(1, 5), (2, 3), (4, 6)]
+        W = weight_matrix(lab, default_epsilon(ell))
+        wm = [W[a][b] for a, b in edges]
+        assert _exchange_has_negative_cycle(W, edges, wm)
+        assert oracle_negative_digraph_cycle(W, edges, wm)
+        assert not oracle_improving_cycle(W, edges, wm)
+
+    def test_every_route_is_reached(self, monkeypatch):
+        # routes of the cycle move: the certificate ends the search, the DFS
+        # finds an improving cycle, or the DFS finds none (the negative cycle
+        # reuses a matching edge) and the search ends there
+        calls = []
+
+        def spy(W, edges, wm):
+            calls.append(_exchange_has_negative_cycle(W, edges, wm))
+            return calls[-1]
+
+        monkeypatch.setattr(labeled_graphs, "_exchange_has_negative_cycle", spy)
+        rng = random.Random(7)
+        searches = [(make_construction(kind, 12), 6, seed)
+                    for kind in (TWO_LABEL, THREE_LABEL, FOUR_LABEL, LEX_INFINITE)
+                    for seed in range(3)]
+        for i in range(40):
+            n = rng.choice([8, 10, 12])
+            lab = random_labeling(n, rng.choice([2, 3, 4, INFINITE]), seed=i)
+            searches.append((lab, rng.randint(2, n // 2), i))
+        n, ell, seed = EXHAUSTS
+        searches.append((random_labeling(n, ell, seed=seed), n // 2, seed))
+        routes = collections.Counter()
+        for lab, size, seed in searches:
+            calls.clear()
+            switch_local_search(lab, size, seed=seed)
+            routes["dfs_improves"] += sum(calls[:-1])
+            routes["dfs_exhausts" if calls[-1] else "certificate"] += 1
+        assert routes == {"certificate": 52, "dfs_improves": 4, "dfs_exhausts": 1}
+
+
+def _golden_battery():
+    runs = []
+    for kind in (TWO_LABEL, THREE_LABEL, FOUR_LABEL, LEX_INFINITE):
+        for n, size in ((10, 5), (12, 6), (14, 7)):
+            if kind == FOUR_LABEL and n < 12:  # four labels need N >= 12
+                continue
+            lab = make_construction(kind, n)
+            for seed in range(3):
+                runs.append(((kind, n, size, seed), switch_local_search(lab, size, seed=seed).edges))
+    rng = random.Random(5)
+    for i in range(24):
+        ell = (2, 3, 4, INFINITE)[i % 4]
+        n = rng.choice((8, 10, 12))
+        size = rng.randint(2, n // 2)
+        lab_seed, ls_seed = rng.randrange(1000), rng.randrange(1000)
+        lab = random_labeling(n, ell, lab_seed)
+        key = ("random", n, size, "inf" if ell == INFINITE else str(ell), lab_seed, ls_seed)
+        runs.append((key, switch_local_search(lab, size, seed=ls_seed).edges))
+    return runs
+
+
+class TestLocalSearchGolden:
+    # recorded before the weight table and the exchange-digraph certificate
+    # replaced the Fraction weights and the DFS-only cycle move
+    DIGEST = "64208fb19e4174f58db21563176562a92eb12586bf04f85dc2186634565e4d6d"
+    PINNED = {
+        (TWO_LABEL, 10, 5, 0): ((1, 3), (2, 6), (4, 5), (7, 10), (8, 9)),
+        (THREE_LABEL, 12, 6, 0): ((1, 5), (2, 10), (3, 11), (4, 8), (6, 9), (7, 12)),
+        (FOUR_LABEL, 14, 7, 1): ((1, 13), (2, 9), (3, 10), (4, 6), (5, 7), (8, 12), (11, 14)),
+        (LEX_INFINITE, 14, 7, 2): ((1, 14), (2, 13), (3, 12), (4, 11), (5, 10), (6, 9), (7, 8)),
+        ("random", 12, 6, "3", 29, 860): ((1, 4), (2, 5), (3, 11), (6, 8), (7, 12), (9, 10)),
+        ("random", 10, 3, "4", 664, 53): ((1, 9), (2, 4), (5, 8)),
+        ("random", 10, 3, "inf", 780, 816): ((1, 2), (5, 9), (6, 8)),
+    }
+
+    def test_matchings_unchanged(self):
+        runs = _golden_battery()
+        assert len(runs) == 57
+        got = dict(runs)
+        for key, edges in self.PINNED.items():
+            assert got[key] == edges
+        digest = hashlib.sha256(repr([edges for _, edges in runs]).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestConstructions:

@@ -1,19 +1,17 @@
 """Hot numeric kernels.
 
-The alternating-structure loops and the dense-bound evaluators have two
-builds: the default compiles them with numba @njit; setting CQLAB_NO_NUMBA=1
-(or running without numba installed) selects the fallback build, which runs
-the same loops interpreted. The alternating checks are certificate-first: a
-linear pass computes the longest path of the digraph with an arc v -> w^1 per
-blue edge {v, w} (both ways). When that digraph is acyclic there is no
-alternating cycle, and the exact path DFS stops as soon as a path reaches
-its length; the answer always comes from the DFS. Only a cyclic digraph runs
-the exact cycle DFS, and only a path maximum below the bound (or a cyclic
-digraph) makes the path DFS exhaustive. The matching scans are vectorised
-NumPy on both builds: one partner table lists every matching in
-lexicographic order, and the scans compare labels over it in row chunks.
-The dense formulas f, f', p and the entropy live here only; `bounds` calls
-them. `python3 cqbench/run.py` times the kernels through their callers.
+The alternating-structure loops and the dense-bound evaluators are plain
+interpreted loops over preallocated NumPy arrays; there is one build. The
+alternating checks are certificate-first: a linear pass computes the longest
+path of the digraph with an arc v -> w^1 per blue edge {v, w} (both ways).
+When that digraph is acyclic there is no alternating cycle, and the exact
+path DFS stops as soon as a path reaches its length; the answer always comes
+from the DFS. Only a cyclic digraph runs the exact cycle DFS, and only a path
+maximum below the bound (or a cyclic digraph) makes the path DFS exhaustive.
+The matching scans are vectorised NumPy: one partner table lists every
+matching in lexicographic order, and the scans compare labels over it in row
+chunks. The dense formulas f, f', p and the entropy live here only; `bounds`
+calls them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -25,25 +23,14 @@ Encodings used throughout:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _P_FLOOR = 0.5 + 1e-12
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
-NUMBA_REQUESTED = os.environ.get("CQLAB_NO_NUMBA", "") != "1"
-try:
-    if NUMBA_REQUESTED:
-        from numba import njit as _njit
-
-        HAVE_NUMBA = True
-    else:
-        HAVE_NUMBA = False
-except ImportError:  # pragma: no cover - the test environment has numba
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# stamped on every benchmark result; cqbench/compare.py refuses to mix backends
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +347,6 @@ def _f2_batch_core(alphas, d, g, eta):
     return out_f, out_p
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _dag_bound_njit = _njit(cache=True)(_dag_bound_core)
-    _max_blue_njit = _njit(cache=True)(_max_blue_core)
-    _has_cycle_njit = _njit(cache=True)(_has_cycle_core)
-    _entropy_val = _njit(cache=True)(_entropy_val)
-    _p_val = _njit(cache=True)(_p_val)
-    _f_val = _njit(cache=True)(_f_val)
-    _fprime_val = _njit(cache=True)(_fprime_val)
-    _argmin_fprime = _njit(cache=True)(_argmin_fprime)
-    _solve_m1_val = _njit(cache=True)(_solve_m1_val)
-    _f1_batch_core = _njit(cache=True)(_f1_batch_core)
-    _f2_batch_core = _njit(cache=True)(_f2_batch_core)
-
-
 def min_critical_scan(lab: np.ndarray, size: int):
     """Exact (min critical count, argmin matching edges) over all size-`size`
     matchings of the labeled K_n given as a 0-based (n, n) int64 matrix. Ties
@@ -421,20 +390,12 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     return _row_edges(best_row)
 
 
-def _dag_bound(indptr, indices, nv):
-    if HAVE_NUMBA:
-        return int(_dag_bound_njit(indptr, indices, nv))
-    return int(_dag_bound_core(indptr, indices, nv))
-
-
 def alt_path_max_blue(indptr: np.ndarray, indices: np.ndarray, nv: int) -> int:
     """Exact blue maximum over alternating paths. The DFS stops at the first
     path that reaches the digraph bound; with a cyclic digraph the cap is
     nv // 2, which only a path through every vertex reaches."""
-    bound = _dag_bound(indptr, indices, nv)
+    bound = _dag_bound_core(indptr, indices, nv)
     cap = bound if bound >= 0 else nv // 2
-    if HAVE_NUMBA:
-        return int(_max_blue_njit(indptr, indices, nv, cap))
     return int(_max_blue_core(indptr, indices, nv, cap))
 
 
@@ -442,10 +403,8 @@ def alt_cycle_exists(indptr: np.ndarray, indices: np.ndarray, nv: int) -> bool:
     """Exact alternating-cycle test: an acyclic digraph answers False at
     once; only a cyclic one runs the DFS, since a closed walk there need not
     contain a vertex-simple cycle."""
-    if _dag_bound(indptr, indices, nv) >= 0:
+    if _dag_bound_core(indptr, indices, nv) >= 0:
         return False
-    if HAVE_NUMBA:
-        return bool(_has_cycle_njit(indptr, indices, nv))
     return bool(_has_cycle_core(indptr, indices, nv))
 
 

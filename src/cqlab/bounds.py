@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .common import is_infinite, validate_ell
+from .common import ell_text, is_infinite, validate_ell
 from .errors import NoCrossing, POutOfRange, RootDiagnostic
 from .partition_bounds import gamma_exact, gamma_upper_bound
 
@@ -292,7 +292,7 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
         m2=alpha2 / 2,
         alpha1=alpha1 if alpha1 is not None else math.inf,
         alpha2=alpha2,
-        alpha0=alpha0 if alpha1 is not None else alpha2,
+        alpha0=alpha0,
         p_at_opt=p_opt,
         case=case,
         alpha1_curve=alpha1_curve,
@@ -358,8 +358,10 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     alpha1 reports the stationary curve (equal to the definitional alpha1
     whenever that is finite); alpha0 stays definitional.
     """
-    from .common import ell_text  # local import to keep module deps one-way
-
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if eta_from > eta_to:
+        raise ValueError(f"eta_from ({eta_from}) must not exceed eta_to ({eta_to})")
     nsteps = int(round((eta_to - eta_from) / step))
     etas = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
     rows = []

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import alternating, bounds, labeled_graphs, partition_bounds, simulator
 from .common import INFINITE, fmt_float, is_infinite, parse_ell
-from .errors import CqlabError
+from .errors import CqlabError, CyclePresent
 
 CSV_COLUMNS = ["eta", "ell", "trivial", "alpha0", "alpha1", "alpha2", "m1", "p_at_opt"]
 
@@ -212,8 +212,8 @@ def _cmd_gamma(args) -> int:
         size = args.n // 2
         target = labeled_graphs.construction_min_ratio_analytic(kind)
         if args.local_search:
-            eps = args.epsilon if args.epsilon is not None else None
-            matching = labeled_graphs.switch_local_search(labeling, size, epsilon=eps, seed=args.seed)
+            matching = labeled_graphs.switch_local_search(labeling, size, epsilon=args.epsilon,
+                                                          seed=args.seed)
             report = labeled_graphs.count_critical(labeling, matching)
             method = "local-search"
         else:
@@ -268,11 +268,11 @@ def _cmd_beta(args) -> int:
     elif args.cmd == "check":
         with open(args.file) as fh:
             g = alternating.redblue_from_text(fh.read())
-        cyc = alternating.has_alternating_cycle(g)
-        if cyc:
+        try:
+            maxblue = alternating.max_blue_in_alternating_path(g)
+        except CyclePresent:
             print("error: cycle present: the graph admits an alternating cycle", file=sys.stderr)
             return 1
-        maxblue = alternating.max_blue_in_alternating_path(g)
         feasible = maxblue < args.k
         _emit(args, str(maxblue), {
             "x": g.num_red, "blue_count": len(g.blue_edges),

@@ -252,3 +252,15 @@ class TestErrorPaths:
                              "--local-search", "--epsilon", "0")
         assert code == 1
         assert "epsilon must be positive" in err
+
+    @pytest.mark.parametrize("eta_from,eta_to,step,message", [
+        ("0.97", "0.99", "0", "step must be positive"),
+        ("0.97", "0.99", "-0.01", "step must be positive"),
+        ("0.99", "0.97", "0.01", "must not exceed eta_to"),
+    ])
+    def test_sweep_bad_range_exit_1(self, capsys, eta_from, eta_to, step, message):
+        code, out, err = run(capsys, "bounds", "sweep", "--delta", "1", "--ells", "2",
+                             "--eta-from", eta_from, "--eta-to", eta_to, "--step", step)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err

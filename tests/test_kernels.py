@@ -1,12 +1,9 @@
-"""Kernel checks: the matching table against an itertools enumeration, the
-compiled kernels against their interpreted fallback, and the certificate-first
-alternating kernels against the uncapped DFS cores and the itertools path
-oracle of tests/test_alternating.py.
-
-When numba is active (the default build) the fallback implementations are
-still importable, so both sides of the DFS and dense-bound parity tests run
-here regardless of CQLAB_NO_NUMBA. The matching scans built on the table are
-checked against itertools oracles in tests/test_labeled_graphs.py.
+"""Kernel checks: the matching table against an itertools enumeration, and
+the certificate-first alternating kernels against the uncapped DFS cores and
+the itertools path oracle of tests/test_alternating.py. There is one build of
+the kernels, so these check the public entry points against the cores they
+call. The matching scans built on the table are checked against itertools
+oracles in tests/test_labeled_graphs.py.
 """
 import itertools
 import math
@@ -74,23 +71,19 @@ def _random_graph(rng, max_x):
 class TestDfsParity:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200, deadline=None)
-    def test_interpreted_equals_compiled(self, seed):
+    def test_public_kernels_equal_cores(self, seed):
         g = _random_graph(random.Random(seed), 5)
         nv = g.num_vertices
         indptr, indices = g.csr()
-        cyc_py = K._has_cycle_core(indptr, indices, nv)
-        max_py = K._max_blue_core(indptr, indices, nv, nv)  # cap nv: exhaustive
+        cyc_core = K._has_cycle_core(indptr, indices, nv)
+        max_core = K._max_blue_core(indptr, indices, nv, nv)  # cap nv: exhaustive
         bound = K._dag_bound_core(indptr, indices, nv)
-        if K.HAVE_NUMBA:
-            assert bool(K._has_cycle_njit(indptr, indices, nv)) == bool(cyc_py)
-            assert int(K._max_blue_njit(indptr, indices, nv, nv)) == int(max_py)
-            assert int(K._dag_bound_njit(indptr, indices, nv)) == int(bound)
         # the certificate-first public kernels equal the uncapped cores
-        assert K.alt_cycle_exists(indptr, indices, nv) == bool(cyc_py)
-        assert K.alt_path_max_blue(indptr, indices, nv) == int(max_py)
+        assert K.alt_cycle_exists(indptr, indices, nv) == bool(cyc_core)
+        assert K.alt_path_max_blue(indptr, indices, nv) == int(max_core)
         # and the bound is sound against the independent itertools oracle
         obest, ocycles = oracle_paths(g)
-        assert int(max_py) == obest and bool(cyc_py) == ocycles
+        assert int(max_core) == obest and bool(cyc_core) == ocycles
         if ocycles:
             assert bound == -1
         assert bound == -1 or bound >= obest
@@ -185,5 +178,4 @@ class TestDenseEvalParity:
         assert np.isfinite(f_cur[0])
 
     def test_backend_reported(self):
-        assert K.BACKEND in ("numba", "numpy")
-        assert (K.BACKEND == "numba") == K.HAVE_NUMBA
+        assert K.BACKEND == "numpy"

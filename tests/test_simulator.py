@@ -8,6 +8,7 @@ from cqlab.errors import AdaptivityViolation, BudgetExceeded
 from cqlab.simulator import (
     BatchedGreedyStrategy,
     amplify,
+    batched_block_runner,
     greedy_block_runner,
     greedy_clique,
     max_clique_bruteforce,
@@ -184,6 +185,13 @@ class TestRunLAdaptive:
         with pytest.raises(BudgetExceeded, match="budget exceeded"):
             run_l_adaptive(g, _BudgetBomb(64), 1.0, 1)
 
+    def test_verification_past_budget_raises(self):
+        # two round queries fit a budget of 2; re-querying the six pairs of
+        # the four-vertex result does not
+        g = new_instance(16, 2)
+        with pytest.raises(BudgetExceeded, match="verification pushed"):
+            run_l_adaptive(g, _FixedBatchStrategy([(0, 1), (2, 3)]), 2.0, 1, budget=2)
+
     def test_zero_query_round_consumes_round(self):
         g = new_instance(16, 2)
         res = run_l_adaptive(g, _FixedBatchStrategy([(0, 1)]), 2.0, 3)
@@ -281,6 +289,27 @@ class TestAmplify:
             if len(amp.vertices) >= med:
                 wins += 1
         assert wins >= 18
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 7, 19])
+    def test_batched_runner_takes_best_block_clique(self, ell, seed):
+        # n = 64, delta = 2: six blocks of 10-11 vertices, each revealed in
+        # full by round 0, so the best block's clique is a maximum clique of
+        # some block
+        g = new_instance(64, seed)
+        amp = amplify(batched_block_runner, g, 2.0, ell)
+        assert amp.is_clique
+        assert amp.rounds_used <= ell
+        assert amp.queries_used == len(g.query_log) <= amp.budget
+        assert "block" in amp.meta["best_block"]
+        best = 0
+        for block in partition_blocks(64):
+            pairs = [(v, w) for v in block for w in block if v < w]
+            assert all(p in g.revealed for p in pairs)
+            adj = {v: {w for w in block if w != v and g.revealed[min(v, w), max(v, w)]}
+                   for v in block}
+            best = max(best, len(max_clique_bruteforce(block, adj)))
+        assert len(amp.vertices) == best
 
     def test_determinism(self):
         a1 = amplify(greedy_block_runner, new_instance(512, 6), 1.0, 1)

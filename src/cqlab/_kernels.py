@@ -1,24 +1,26 @@
 """Hot numeric kernels.
 
-The alternating-structure loops and the dense-bound evaluators are plain
-interpreted loops over preallocated NumPy arrays; there is one build. The
-alternating checks are certificate-first: a linear pass computes the longest
-path of the digraph with an arc v -> w^1 per blue edge {v, w} (both ways).
-When that digraph is acyclic there is no alternating cycle, and the exact
-path DFS stops as soon as a path reaches its length; the answer always comes
-from the DFS. Only a cyclic digraph runs the exact cycle DFS, and only a path
-maximum below the bound (or a cyclic digraph) makes the path DFS exhaustive.
-The matching scans are vectorised NumPy: one partner table lists every
-matching in lexicographic order, and the scans compare labels over it in row
-chunks. The dense formulas f, f', p and the entropy live here only; `bounds`
-calls them. `python3 cqbench/run.py` times the kernels through their callers.
+The alternating-structure searches and the dense-bound evaluators are plain
+Python over lists and floats; there is one build. Both alternating searches
+call one iterative walker over vertex-simple alternating paths. They are
+certificate-first: a linear pass computes the longest path of the digraph
+with an arc v -> w^1 per blue edge {v, w} (both ways). When that digraph is
+acyclic there is no alternating cycle, and the exact path DFS stops as soon
+as a path reaches its length; the answer always comes from the DFS. Only a
+cyclic digraph runs the exact cycle DFS, and only a path maximum below the
+bound (or a cyclic digraph) makes the path DFS exhaustive. The matching
+scans are vectorised NumPy: one partner table lists every matching in
+lexicographic order, and the scans compare labels over it in row chunks.
+The dense formulas f, f', p and the entropy live here only; `bounds` calls
+them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
   * matchings inside kernels: partner array, partner[v] = matched vertex or -1,
     one row of the int8 partner table per matching;
   * red/blue graphs: red edge i joins vertices 2i and 2i+1, so the red partner
-    of v is v ^ 1; blue adjacency is CSR (indptr, indices), vertices 0-based.
+    of v is v ^ 1; blue adjacency is CSR as two lists (indptr, indices),
+    vertices 0-based.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ def _row_edges(row):
 
 
 # ---------------------------------------------------------------------------
-# alternating-structure DFS
+# alternating-structure search
 # ---------------------------------------------------------------------------
 
 def _dag_bound_core(indptr, indices, nv):
@@ -87,148 +89,90 @@ def _dag_bound_core(indptr, indices, nv):
     # walk in D and a vertex-simple alternating path with b blue edges a
     # b-arc walk, so an acyclic D rules out cycles and bounds the path
     # maximum. Kahn's order: a node is settled once all its in-arcs are.
-    indeg = np.zeros(nv, np.int64)
-    for p in range(indptr[nv]):
-        indeg[indices[p] ^ 1] += 1
-    order = np.empty(nv, np.int64)
-    dist = np.zeros(nv, np.int64)
-    tail = 0
-    for v in range(nv):
-        if indeg[v] == 0:
-            order[tail] = v
-            tail += 1
+    indeg = [0] * nv
+    for w in indices:
+        indeg[w ^ 1] += 1
+    order = [v for v in range(nv) if indeg[v] == 0]
+    dist = [0] * nv
     best = 0
-    head = 0
-    while head < tail:
-        v = order[head]
-        head += 1
+    for v in order:  # also visits the nodes appended below
         d = dist[v] + 1
-        for p in range(indptr[v], indptr[v + 1]):
-            u = indices[p] ^ 1
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            u = w ^ 1
             if dist[u] < d:
                 dist[u] = d
                 if d > best:
                     best = d
             indeg[u] -= 1
             if indeg[u] == 0:
-                order[tail] = u
-                tail += 1
-    if tail < nv:
-        return -1
-    return best
+                order.append(u)
+    return best if len(order) == nv else -1
+
+
+def _walk(indptr, indices, visited, s, take):
+    # Depth-first walk over the vertex-simple alternating paths that leave s
+    # by a blue edge: each step crosses a blue edge into w, then w's red edge
+    # into w ^ 1. take(w, blue) is called on each blue edge into an unvisited
+    # w, blue counting that edge; when it returns True the walk stops and
+    # returns True, leaving `visited` marked (callers stop too). The walk
+    # continues through w only when w ^ 1 is unvisited as well. A stack of
+    # neighbour iterators replaces recursion, so path length has no limit.
+    visited[s] = True
+    stack = [iter(indices[indptr[s]:indptr[s + 1]])]
+    path = []  # the blue endpoints w entered, one per stack entry above s
+    while stack:
+        for w in stack[-1]:
+            if visited[w]:
+                continue
+            if take(w, len(stack)):
+                return True
+            w2 = w ^ 1
+            if not visited[w2]:
+                visited[w] = visited[w2] = True
+                path.append(w)
+                stack.append(iter(indices[indptr[w2]:indptr[w2 + 1]]))
+                break
+        else:
+            stack.pop()
+            if path:
+                w = path.pop()
+                visited[w] = visited[w ^ 1] = False
+    visited[s] = False
+    return False
 
 
 def _max_blue_core(indptr, indices, nv, cap):
     # Exact maximum number of blue edges over vertex-simple alternating paths,
     # or cap as soon as some path reaches it (cap >= the true maximum makes
-    # the answer exact; cap = nv never triggers).
-    # DFS over "about to take a blue edge" states; any maximum is attained by
+    # the answer exact; cap = nv never triggers). Any maximum is attained by
     # a path that starts and ends with blue (leading/trailing red edges only
-    # add vertices), so starting before-blue at every vertex is exhaustive.
+    # add vertices), so walking from every vertex is exhaustive.
     best = 0
-    visited = np.zeros(nv, np.bool_)
-    sv = np.empty(nv + 2, np.int64)
-    sp = np.empty(nv + 2, np.int64)
-    sw = np.empty(nv + 2, np.int64)
+
+    def take(w, blue):
+        nonlocal best
+        if blue > best:
+            best = blue
+        return best >= cap
+
+    visited = [False] * nv
     for s in range(nv):
-        visited[s] = True
-        depth = 0
-        sv[0] = s
-        sp[0] = indptr[s]
-        sw[0] = -1
-        blue = 0
-        while depth >= 0:
-            v = sv[depth]
-            p = sp[depth]
-            pushed = False
-            while p < indptr[v + 1]:
-                w = indices[p]
-                p += 1
-                if visited[w]:
-                    continue
-                if blue + 1 > best:
-                    best = blue + 1
-                    if best >= cap:
-                        return best
-                w2 = w ^ 1
-                if not visited[w2]:
-                    sp[depth] = p
-                    visited[w] = True
-                    visited[w2] = True
-                    blue += 1
-                    depth += 1
-                    sv[depth] = w2
-                    sp[depth] = indptr[w2]
-                    sw[depth] = w
-                    pushed = True
-                    break
-            if pushed:
-                continue
-            wch = sw[depth]
-            if wch >= 0:
-                visited[wch] = False
-                visited[wch ^ 1] = False
-                blue -= 1
-            depth -= 1
-        visited[s] = False
+        if _walk(indptr, indices, visited, s, take):
+            break
     return best
 
 
 def _has_cycle_core(indptr, indices, nv):
     # Alternating cycle through red edge (s, s+1), oriented to leave s by a
     # blue edge and re-enter s+1 by a blue edge; trying every even s covers
-    # every red edge a cycle could use. Vertex-simple by the visited set.
-    visited = np.zeros(nv, np.bool_)
-    sv = np.empty(nv + 2, np.int64)
-    sp = np.empty(nv + 2, np.int64)
-    sw = np.empty(nv + 2, np.int64)
+    # every red edge a cycle could use. s+1 stays unmarked: only s reaches it
+    # by red, so the walk never passes through it, and every blue edge into
+    # it closes a cycle (a blue edge s-s+1 would duplicate the red edge,
+    # which RedBlueGraph rejects).
+    visited = [False] * nv
     for s in range(0, nv, 2):
-        target = s + 1
-        visited[s] = True
-        visited[target] = True
-        depth = 0
-        sv[0] = s
-        sp[0] = indptr[s]
-        sw[0] = -1
-        found = False
-        while depth >= 0:
-            v = sv[depth]
-            p = sp[depth]
-            pushed = False
-            while p < indptr[v + 1]:
-                w = indices[p]
-                p += 1
-                if w == target:
-                    if depth >= 1:
-                        found = True
-                        break
-                    continue
-                if visited[w]:
-                    continue
-                w2 = w ^ 1
-                if not visited[w2]:
-                    sp[depth] = p
-                    visited[w] = True
-                    visited[w2] = True
-                    depth += 1
-                    sv[depth] = w2
-                    sp[depth] = indptr[w2]
-                    sw[depth] = w
-                    pushed = True
-                    break
-            if found:
-                break
-            if pushed:
-                continue
-            wch = sw[depth]
-            if wch >= 0:
-                visited[wch] = False
-                visited[wch ^ 1] = False
-            depth -= 1
-        if found:
+        if _walk(indptr, indices, visited, s, lambda w, blue: w == s + 1):
             return True
-        for i in range(nv):
-            visited[i] = False
     return False
 
 
@@ -292,13 +236,13 @@ def _argmin_fprime(a, d, g, eta):
 
 
 def _solve_m1_val(a, d, g, eta, mtol):
-    # Smallest root of f' on [0, a/2]: returns (m1, 1.0), or (argmin, 0.0)
+    # Smallest root of f' on [0, a/2]: returns (m1, True), or (argmin, False)
     # when f' > 0 throughout (no stationary point).
     if 2.0 - d <= 0.0:
-        return 0.0, 1.0
+        return 0.0, True
     mstar = _argmin_fprime(a, d, g, eta)
     if _fprime_val(mstar, a, d, g, eta) > 0.0:
-        return mstar, 0.0
+        return mstar, False
     lo = 0.0
     hi = mstar
     while hi - lo > mtol:
@@ -309,42 +253,18 @@ def _solve_m1_val(a, d, g, eta, mtol):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), 1.0
+    return 0.5 * (lo + hi), True
 
 
-def _f1_batch_core(alphas, d, g, eta, mtol, curve):
-    # F1(alpha) = f(m1(alpha), alpha). With curve=0 the stationary branch is
-    # definitional: no root of f' means no constraint from this branch, coded
-    # as F1 = +inf. curve=1 clamps m to the f'-argmin instead, extending the
-    # curve continuously past the existence boundary.
-    nd = alphas.shape[0]
-    out_f = np.empty(nd)
-    out_m = np.empty(nd)
-    out_p = np.empty(nd)
-    for i in range(nd):
-        a = float(alphas[i])
-        m1, ok = _solve_m1_val(a, d, g, eta, mtol)
-        if ok == 0.0 and curve == 0:
-            out_f[i] = np.inf
-            out_m[i] = np.inf
-            out_p[i] = np.nan
-        else:
-            out_f[i] = _f_val(m1, a, d, g, eta)
-            out_m[i] = m1
-            out_p[i] = _p_val(m1, a, g, eta)
-    return out_f, out_m, out_p
-
-
-def _f2_batch_core(alphas, d, g, eta):
-    nd = alphas.shape[0]
-    out_f = np.empty(nd)
-    out_p = np.empty(nd)
-    for i in range(nd):
-        a = float(alphas[i])
-        m = 0.5 * a
-        out_f[i] = _f_val(m, a, d, g, eta)
-        out_p[i] = _p_val(m, a, g, eta)
-    return out_f, out_p
+def _f1_val(a, d, g, eta, mtol, curve):
+    # F1(alpha) = f(m1(alpha), alpha), as (f1, m1, p). Without curve the
+    # stationary branch is definitional: no root of f' means no constraint
+    # from this branch, coded as F1 = +inf. curve clamps m to the f'-argmin
+    # instead, extending the curve continuously past the existence boundary.
+    m1, found = _solve_m1_val(a, d, g, eta, mtol)
+    if not found and not curve:
+        return math.inf, math.inf, math.nan
+    return _f_val(m1, a, d, g, eta), m1, _p_val(m1, a, g, eta)
 
 
 def min_critical_scan(lab: np.ndarray, size: int):
@@ -390,39 +310,46 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     return _row_edges(best_row)
 
 
-def alt_path_max_blue(indptr: np.ndarray, indices: np.ndarray, nv: int) -> int:
-    """Exact blue maximum over alternating paths. The DFS stops at the first
-    path that reaches the digraph bound; with a cyclic digraph the cap is
-    nv // 2, which only a path through every vertex reaches."""
+def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int) -> int:
+    """Exact blue maximum over alternating paths, or -1 when the graph has an
+    alternating cycle. The digraph bound runs once. When the digraph is
+    acyclic, the DFS stops at the first path that reaches its bound. A
+    cyclic digraph runs the cycle DFS, which answers -1 on a cycle;
+    otherwise the path DFS caps at nv // 2, which only a path through every
+    vertex reaches."""
     bound = _dag_bound_core(indptr, indices, nv)
-    cap = bound if bound >= 0 else nv // 2
-    return int(_max_blue_core(indptr, indices, nv, cap))
+    if bound < 0:
+        if _has_cycle_core(indptr, indices, nv):
+            return -1
+        bound = nv // 2
+    return _max_blue_core(indptr, indices, nv, bound)
 
 
-def alt_cycle_exists(indptr: np.ndarray, indices: np.ndarray, nv: int) -> bool:
+def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int) -> bool:
     """Exact alternating-cycle test: an acyclic digraph answers False at
     once; only a cyclic one runs the DFS, since a closed walk there need not
     contain a vertex-simple cycle."""
-    if _dag_bound_core(indptr, indices, nv) >= 0:
-        return False
-    return bool(_has_cycle_core(indptr, indices, nv))
+    return _dag_bound_core(indptr, indices, nv) < 0 and _has_cycle_core(indptr, indices, nv)
 
 
 def f1_values(alphas, delta, gamma, eta, mtol=1e-12, curve=False):
     """Batch F1 evaluation; returns (f1, m1, p) arrays."""
-    a = np.ascontiguousarray(alphas, dtype=np.float64)
-    return _f1_batch_core(a, float(delta), float(gamma), float(eta), mtol,
-                          1 if curve else 0)
+    d, g, eta = float(delta), float(gamma), float(eta)
+    f1, m1, p = [], [], []
+    for a in alphas:
+        fa, ma, pa = _f1_val(float(a), d, g, eta, mtol, curve)
+        f1.append(fa)
+        m1.append(ma)
+        p.append(pa)
+    return np.array(f1), np.array(m1), np.array(p)
 
 
 def f2_values(alphas, delta, gamma, eta):
     """Batch F2 evaluation (m = alpha/2); returns (f2, p) arrays."""
-    a = np.ascontiguousarray(alphas, dtype=np.float64)
-    return _f2_batch_core(a, float(delta), float(gamma), float(eta))
-
-
-def solve_m1_scalar(alpha, delta, gamma, eta, mtol=1e-12):
-    """Smallest root of f' on [0, alpha/2]: (m1, True), or (argmin, False)
-    when f' has no root there."""
-    m, ok = _solve_m1_val(float(alpha), float(delta), float(gamma), float(eta), mtol)
-    return float(m), ok == 1.0
+    d, g, eta = float(delta), float(gamma), float(eta)
+    f2, p = [], []
+    for a in alphas:
+        a = float(a)
+        f2.append(_f_val(0.5 * a, a, d, g, eta))
+        p.append(_p_val(0.5 * a, a, g, eta))
+    return np.array(f2), np.array(p)

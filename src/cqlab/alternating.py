@@ -12,8 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels
 from .common import brute_cap
 from .errors import CyclePresent, InstanceTooLarge
@@ -52,14 +50,14 @@ class RedBlueGraph:
     def num_vertices(self) -> int:
         return 2 * self.num_red
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-based blue adjacency in CSR form for the kernels."""
+    def csr(self) -> tuple[list[int], list[int]]:
+        """0-based blue adjacency in CSR form (indptr, indices) for the kernels."""
         nbrs = [[] for _ in range(self.num_vertices)]
         for u, v in sorted(self.blue_edges):
             nbrs[u - 1].append(v - 1)
             nbrs[v - 1].append(u - 1)
-        indptr = np.array(list(itertools.accumulate(map(len, nbrs), initial=0)), dtype=np.int64)
-        indices = np.array([w for a in nbrs for w in a], dtype=np.int64)
+        indptr = list(itertools.accumulate(map(len, nbrs), initial=0))
+        indices = [w for a in nbrs for w in a]
         return indptr, indices
 
 
@@ -76,15 +74,18 @@ def has_alternating_cycle(g: RedBlueGraph) -> bool:
 
 def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
     """Exact maximum blue-edge count over alternating paths; requires a
-    cycle-free graph (raises CyclePresent otherwise). The longest path L of
-    the digraph of has_alternating_cycle bounds the count, since a path with
-    b blue edges is a b-arc walk there; the exact DFS stops at the first
-    path with L blue edges and searches exhaustively only when none exists.
-    A cyclic digraph gives no bound, and the DFS then caps at x."""
+    cycle-free graph (raises CyclePresent otherwise). One kernel call runs
+    the digraph bound of has_alternating_cycle once. Its longest path L
+    bounds the count, since a path with b blue edges is a b-arc walk there;
+    the exact DFS stops at the first path with L blue edges and searches
+    exhaustively only when none exists. A cyclic digraph gives no bound: the
+    cycle DFS runs, a cycle comes back as -1 and is raised as CyclePresent,
+    and without one the path DFS caps at x."""
     indptr, indices = g.csr()
-    if _kernels.alt_cycle_exists(indptr, indices, g.num_vertices):
+    best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+    if best < 0:
         raise CyclePresent("cycle present: the path maximum is undefined")
-    return _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+    return best
 
 
 def _spread_blocks(x: int, weights: tuple[int, ...]) -> tuple[int, ...]:

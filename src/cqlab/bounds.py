@@ -172,8 +172,9 @@ def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     math.inf when the derivative stays positive. The derivative is convex in
     m, so locating its minimum (golden-section search) certifies "smallest":
     the first root, if any, lies left of the argmin."""
-    m, ok = _kernels.solve_m1_scalar(alpha, delta, gamma, eta, M_TOL)
-    return m if ok else math.inf
+    m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta),
+                                      M_TOL)
+    return m if found else math.inf
 
 
 def trivial_dense_bound(eta: float) -> float:
@@ -250,20 +251,19 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     upper = trivial_dense_bound(eta)
 
     def f2(a):
-        return float(_kernels.f2_values(np.array([a]), delta, gamma, eta)[0][0])
+        return float(_kernels.f2_values((a,), delta, gamma, eta)[0][0])
 
     alpha2, br2 = _descending_root(f2, upper, SCAN_STEP, ALPHA_TOL)
     if alpha2 is None:
         raise RootDiagnostic("endpoint branch lost its root; this should be impossible")
 
     def f1(a):
-        return float(_kernels.f1_values(np.array([a]), delta, gamma, eta, M_TOL)[0][0])
+        return float(_kernels.f1_values((a,), delta, gamma, eta, M_TOL)[0][0])
 
     alpha1, br1 = _descending_root(f1, upper, SCAN_STEP, ALPHA_TOL)
 
     def f1_curve(a):
-        return float(_kernels.f1_values(np.array([a]), delta, gamma, eta, M_TOL,
-                                        curve=True)[0][0])
+        return float(_kernels.f1_values((a,), delta, gamma, eta, M_TOL, curve=True)[0][0])
 
     if alpha1 is not None:
         alpha1_curve = alpha1

@@ -139,18 +139,12 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
     def partner_map(self) -> dict[int, int]:
         out = {}
         for u, v in self.edges:
             out[u] = v
             out[v] = u
         return out
-
-    def covers(self, v: int) -> bool:
-        return any(v == a or v == b for a, b in self.edges)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Kernel checks: the matching table against an itertools enumeration, and
-the certificate-first alternating kernels against the uncapped DFS cores and
-the itertools path oracle of tests/test_alternating.py. There is one build of
-the kernels, so these check the public entry points against the cores they
-call. The matching scans built on the table are checked against itertools
-oracles in tests/test_labeled_graphs.py.
+the certificate-first alternating kernels against the uncapped walker cores
+and the itertools path oracle of tests/test_alternating.py. There is one
+build of the kernels, so these check the public entry points against the
+cores they call; a chain of 2,000 red edges checks that the walker is not
+recursive. The dense F1/F2 batch wrappers are checked against closed forms
+and one-alpha calls. The matching scans built on the table are checked
+against itertools oracles in tests/test_labeled_graphs.py.
 """
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import _kernels as K
+from cqlab.errors import CyclePresent
 from cqlab.alternating import (
     RedBlueGraph,
     build_even_k,
@@ -78,12 +82,15 @@ class TestDfsParity:
         cyc_core = K._has_cycle_core(indptr, indices, nv)
         max_core = K._max_blue_core(indptr, indices, nv, nv)  # cap nv: exhaustive
         bound = K._dag_bound_core(indptr, indices, nv)
-        # the certificate-first public kernels equal the uncapped cores
-        assert K.alt_cycle_exists(indptr, indices, nv) == bool(cyc_core)
-        assert K.alt_path_max_blue(indptr, indices, nv) == int(max_core)
-        # and the bound is sound against the independent itertools oracle
+        # the certificate-first public kernels equal the uncapped cores; the
+        # path kernel answers -1 exactly when the graph has a cycle
+        assert K.alt_cycle_exists(indptr, indices, nv) == cyc_core
+        assert K.alt_path_max_blue(indptr, indices, nv) == (-1 if cyc_core else max_core)
+        # and the cores and the bound are sound against the independent
+        # itertools oracle
         obest, ocycles = oracle_paths(g)
-        assert int(max_core) == obest and bool(cyc_core) == ocycles
+        assert max_core == obest and cyc_core == ocycles
+        assert K.alt_path_max_blue(indptr, indices, nv) == (-1 if ocycles else obest)
         if ocycles:
             assert bound == -1
         assert bound == -1 or bound >= obest
@@ -130,6 +137,25 @@ class TestDigraphBound:
         assert K._dag_bound_core(indptr, indices, 6) == -1
         assert has_alternating_cycle(g) is False
         assert max_blue_in_alternating_path(g) == oracle_paths(g)[0]
+
+    def test_deep_chain_needs_no_recursion(self):
+        # red edges (1, 2), ..., (2x-1, 2x) joined by blue (2i, 2i+1) into one
+        # alternating path of 2x vertices: a recursive walker would pass
+        # Python's default recursion limit of 1,000 frames
+        x = 2000
+        chain = frozenset((2 * i, 2 * i + 1) for i in range(1, x))
+        g = RedBlueGraph(num_red=x, blue_edges=chain)
+        start = time.perf_counter()
+        assert has_alternating_cycle(g) is False
+        assert max_blue_in_alternating_path(g) == x - 1
+        assert time.perf_counter() - start < 0.05
+        # blue (1, 2x) closes the path into one alternating cycle
+        closed = RedBlueGraph(num_red=x, blue_edges=chain | {(1, 2 * x)})
+        start = time.perf_counter()
+        assert has_alternating_cycle(closed) is True
+        with pytest.raises(CyclePresent):
+            max_blue_in_alternating_path(closed)
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_constructions_bound_is_k_minus_1(self, k):

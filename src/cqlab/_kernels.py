@@ -281,10 +281,11 @@ def min_critical_scan(lab: np.ndarray, size: int):
     for s in range(0, len(table), _SCAN_ROWS):
         P = table[s:s + _SCAN_ROWS]
         # label of the matching edge covering each vertex; -1 when uncovered,
-        # below every label, so an uncovered endpoint never makes (a, b) critical
+        # below every label, so an uncovered endpoint never makes (a, b) critical;
+        # a matching edge's covering labels equal its own, so the strict
+        # comparison never counts it
         cov = np.where(P >= 0, lab[verts, P], -1)
-        crit = ((cov[:, a] > lab_ab) | (cov[:, b] > lab_ab)) & (P[:, a] != b)
-        counts = crit.sum(axis=1)
+        counts = ((cov[:, a] > lab_ab) | (cov[:, b] > lab_ab)).sum(axis=1)
         i = int(np.argmin(counts))
         if best < 0 or counts[i] < best:
             best, best_row = int(counts[i]), P[i]

@@ -90,47 +90,29 @@ def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
 
 def _spread_blocks(x: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     # Integer split of x red edges proportional to weights; floors first, then
-    # the remainder one each to the first blocks, keeping sizes within 1 of
-    # the ideal split.
+    # the remainder (below len(weights)) one each to the first blocks, keeping
+    # sizes within 1 of the ideal split.
     total = sum(weights)
     sizes = [x * w // total for w in weights]
-    rem = x - sum(sizes)
-    i = 0
-    while rem > 0:
-        sizes[i % len(sizes)] += 1
-        rem -= 1
-        i += 1
+    for i in range(x - sum(sizes)):
+        sizes[i] += 1
     return tuple(sizes)
 
 
-def _left_right(blocks: tuple[int, ...]):
-    # red edge i (0-based) has left vertex 2i+1 and right vertex 2i+2;
-    # blocks take consecutive red edges.
-    lefts, rights = [], []
-    start = 0
-    for b in blocks:
-        lefts.append([2 * i + 1 for i in range(start, start + b)])
-        rights.append([2 * i + 2 for i in range(start, start + b)])
-        start += b
-    return lefts, rights
-
-
 def _construction_blue(blocks, skip_top_left_clique: bool) -> frozenset:
-    lefts, rights = _left_right(blocks)
-    all_left = [v for blk in lefts for v in blk]
+    # Blocks take consecutive red edges; red edge p (0-based) has left vertex
+    # 2p+1 and right vertex 2p+2. For p < q: left-left always, except inside
+    # the top block when skipped; right of q to left of p when q's block is
+    # higher.
+    block = [i for i, b in enumerate(blocks) for _ in range(b)]
     top = len(blocks) - 1
     blue = set()
-    top_left = set(lefts[top]) if skip_top_left_clique else set()
-    for i, a in enumerate(all_left):
-        for b in all_left[i + 1:]:
-            if a in top_left and b in top_left:
-                continue
-            blue.add((a, b))
-    for j in range(len(blocks)):
-        for i in range(j):
-            for r in rights[j]:
-                for l in lefts[i]:
-                    blue.add((min(r, l), max(r, l)))
+    for q in range(len(block)):
+        for p in range(q):
+            if not (skip_top_left_clique and block[p] == top):
+                blue.add((2 * p + 1, 2 * q + 1))
+            if block[p] < block[q]:
+                blue.add((2 * p + 1, 2 * q + 2))
     return frozenset(blue)
 
 

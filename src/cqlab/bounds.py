@@ -363,35 +363,25 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     if eta_from > eta_to:
         raise ValueError(f"eta_from ({eta_from}) must not exceed eta_to ({eta_to})")
     nsteps = int(round((eta_to - eta_from) / step))
-    etas = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
+    grid = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
+    # the bound's range is (3/4, 1]; an appended eta = 1 replaces the grid's
+    etas = [eta for eta in grid if 0.75 < eta < 1.0 or (eta == 1.0 and not append_eta1)]
+    if append_eta1:
+        etas.append(1.0)
     rows = []
     for eta in etas:
-        if eta <= 0.75 or eta > 1.0 or (eta >= 1.0 and append_eta1):
-            continue  # outside the bound's (3/4, 1] range, or handled below
         for ell in ells:
             sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=eta), gamma_mode)
+            if append_eta1 and eta == 1.0:
+                alpha0 = clique_alpha_upper(CliqueBoundQuery(delta=delta, ell=ell), gamma_mode)
+            else:
+                alpha0 = sol.alpha0
             rows.append(
                 {
                     "eta": eta,
                     "ell": ell_text(ell),
                     "trivial": trivial_dense_bound(eta),
-                    "alpha0": sol.alpha0,
-                    "alpha1": sol.alpha1_curve,
-                    "alpha2": sol.alpha2,
-                    "m1": sol.m1,
-                    "p_at_opt": sol.p_at_opt,
-                }
-            )
-    if append_eta1:
-        for ell in ells:
-            clique = clique_alpha_upper(CliqueBoundQuery(delta=delta, ell=ell), gamma_mode)
-            sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=1.0), gamma_mode)
-            rows.append(
-                {
-                    "eta": 1.0,
-                    "ell": ell_text(ell),
-                    "trivial": 2.0,
-                    "alpha0": clique,
+                    "alpha0": alpha0,
                     "alpha1": sol.alpha1_curve,
                     "alpha2": sol.alpha2,
                     "m1": sol.m1,

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="cmd", required=True)
 
     p = gsub.add_parser("verify", help="minimum critical ratio of a construction")
-    p.add_argument("--construction", choices=["two", "three", "four", "lex"], required=True)
+    p.add_argument("--construction", choices=labeled_graphs.CONSTRUCTION_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--brute-force", action="store_true", default=False)
@@ -206,11 +206,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_gamma(args) -> int:
     if args.cmd == "verify":
-        kind = {"two": labeled_graphs.TWO_LABEL, "three": labeled_graphs.THREE_LABEL,
-                "four": labeled_graphs.FOUR_LABEL, "lex": labeled_graphs.LEX_INFINITE}[args.construction]
-        labeling = labeled_graphs.make_construction(kind, args.n)
+        labeling = labeled_graphs.make_construction(args.construction, args.n)
         size = args.n // 2
-        target = labeled_graphs.construction_min_ratio_analytic(kind)
+        target = labeled_graphs.construction_min_ratio_analytic(args.construction)
         if args.local_search:
             matching = labeled_graphs.switch_local_search(labeling, size, epsilon=args.epsilon,
                                                           seed=args.seed)

@@ -27,12 +27,23 @@ LEX_INFINITE = "lex"
 
 CONSTRUCTION_KINDS = (TWO_LABEL, THREE_LABEL, FOUR_LABEL, LEX_INFINITE)
 
-#: Kind -> block-size ratios (the last block is the largest and absorbs the
-#: rounding remainder: floor each ratio, dump the remainder into the last).
-_BLOCK_RATIOS = {
-    TWO_LABEL: (Fraction(1, 4), Fraction(3, 4)),
-    THREE_LABEL: (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8)),
-    FOUR_LABEL: (Fraction(1, 12), Fraction(2, 12), Fraction(2, 12), Fraction(7, 12)),
+#: Kind -> (block-size ratios, block-label rule). Blocks are consecutive
+#: vertex ranges; the last block is the largest and absorbs the rounding
+#: remainder (floor each ratio, dump the remainder into the last). An edge
+#: between blocks i <= j carries label rule[i][j], and ell = len(rule).
+_BLOCK_TABLES = {
+    TWO_LABEL: (
+        (Fraction(1, 4), Fraction(3, 4)),
+        ((1, 1), (1, 2)),
+    ),
+    THREE_LABEL: (
+        (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8)),
+        ((1, 1, 1), (1, 1, 2), (1, 2, 3)),
+    ),
+    FOUR_LABEL: (
+        (Fraction(1, 12), Fraction(2, 12), Fraction(2, 12), Fraction(7, 12)),
+        ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4)),
+    ),
 }
 
 DEFAULT_MATCHING_CAP = 16
@@ -537,9 +548,9 @@ def construction_blocks(kind: str, n: int) -> Construction:
         if n < 2:
             raise ValueError("need at least 2 vertices")
         return Construction(kind=kind, n_vertices=n, part_sizes=(n,))
-    ratios = _BLOCK_RATIOS.get(kind)
-    if ratios is None:
+    if kind not in _BLOCK_TABLES:
         raise ValueError(f"unknown construction kind {kind!r}")
+    ratios = _BLOCK_TABLES[kind][0]
     sizes = [math.floor(r * n) for r in ratios]
     if any(s < 1 for s in sizes):
         need = math.ceil(1 / min(ratios))
@@ -548,55 +559,19 @@ def construction_blocks(kind: str, n: int) -> Construction:
     return Construction(kind=kind, n_vertices=n, part_sizes=tuple(sizes))
 
 
-def _block_index(bounds, v):
-    for i, hi in enumerate(bounds):
-        if v <= hi:
-            return i
-    raise AssertionError
-
-
 def make_construction(kind: str, n: int) -> EdgeLabeling:
     """Build the named labeling on K_n; blocks are consecutive vertex ranges."""
     cons = construction_blocks(kind, n)
     if kind == LEX_INFINITE:
         lab = EdgeLabeling.lexicographic(n)
-        lab.construction = cons
-        return lab
-    bounds = []
-    acc = 0
-    for s in cons.part_sizes:
-        acc += s
-        bounds.append(acc)
-    labels = {}
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            i, j = _block_index(bounds, u), _block_index(bounds, v)
-            if kind == TWO_LABEL:
-                # within a block its index's label, across blocks label 1
-                lab = (i + 1) if i == j else 1
-            elif kind == THREE_LABEL:
-                if i == j == 2:
-                    lab = 3
-                elif j == 2:  # cross to the top block carries the lower index
-                    lab = i + 1
-                else:  # inside the union of the first two blocks
-                    lab = 1
-            else:  # FOUR_LABEL
-                if i == 0:  # anything meeting block 1
-                    lab = 1
-                elif i == 1:
-                    lab = 2 if j == 3 else 1
-                elif i == j == 2:
-                    lab = 2
-                elif i == 2 and j == 3:
-                    lab = 3
-                else:  # within block 4
-                    lab = 4
-            labels[(u, v)] = lab
-    ell = {TWO_LABEL: 2, THREE_LABEL: 3, FOUR_LABEL: 4}[kind]
-    out = EdgeLabeling(n, ell, labels)
-    out.construction = cons
-    return out
+    else:
+        rule = _BLOCK_TABLES[kind][1]
+        block = [i for i, s in enumerate(cons.part_sizes) for _ in range(s)]
+        labels = {(u, v): rule[block[u - 1]][block[v - 1]]
+                  for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+        lab = EdgeLabeling(n, len(rule), labels)
+    lab.construction = cons
+    return lab
 
 
 def construction_min_ratio_analytic(kind: str) -> Fraction:

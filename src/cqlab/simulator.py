@@ -9,7 +9,6 @@ materialize the full adjacency matrix.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import struct
@@ -91,9 +90,6 @@ class RunResult:
             "budget": self.budget,
             "meta": self.meta,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def query_budget(n: int, delta: float) -> int:
@@ -308,10 +304,8 @@ class BatchedGreedyStrategy:
         batch: list[tuple[int, int]] = []
         if rnd == 0:
             # seed pool: reveal all internal pairs of s vertices, C(s,2) <= room
-            s = max(2, int((1 + math.isqrt(1 + 8 * room)) // 2))
+            s = max(2, (1 + math.isqrt(1 + 8 * room)) // 2)
             s = min(s, 44, len(self.order))
-            while s > 2 and math.comb(s, 2) > room:
-                s -= 1
             pool = self.order[: s]
             self.cursor = s
             self._round_cands = pool

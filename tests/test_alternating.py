@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -189,6 +190,49 @@ class TestConstructions:
         assert len(g.blue_edges) == construction_blue_count(g, False)
         g = build_odd_k(5, 13)
         assert len(g.blue_edges) == construction_blue_count(g, True)
+
+
+class TestConstructionsPinned:
+    # (k, x) -> (blocks, sha256 of redblue_to_text), recorded before the
+    # constructions were rewritten over one block-index list; x = 3k - 1
+    # leaves a remainder for k >= 3
+    PINNED = {
+        (2, 2): ((2,), "c8f55db4e0d509f02ae5fa40b51d252b2a16ace25bbea591e491af57052f1106"),
+        (2, 4): ((4,), "82a0bbb32ce8ebc169a7598a303112283e93a187172630c6de2c082aba18e57f"),
+        (2, 5): ((5,), "c0a1811ca08778dbc45ada9cd0d53920b336dd9d4f40c4d44cf5544590cd2605"),
+        (2, 20): ((20,), "d997a269151bb3e6177ddeb33799c7bc8f42de81f83498a52d7dc0cb197d764a"),
+        (3, 3): ((2, 1), "338ced38edbcca320a5755c22ecbd20cd79899b144d8beec068aca08a8565d2c"),
+        (3, 6): ((4, 2), "b239d00e065575674eacc842781dd542a2aec14a206b27217c5b3d8304b3da6f"),
+        (3, 8): ((6, 2), "d1c9863a504fe2ae8496318bc936a23c69e626d88cb6f54debaac40958f3c3b6"),
+        (3, 30): ((20, 10), "9141db26155b7857d7cbb5476b6186d60590f9ae059a71584ddcb4b60879f755"),
+        (4, 4): ((2, 2), "9bd91559154942e5025d7c4028aaeed24adb8a30ea35c0031cc6f2d4e096f61b"),
+        (4, 8): ((4, 4), "8794b017f2d50c30c31ce3315274990e10eccaecfdd74d24cc2adad762804af5"),
+        (4, 11): ((6, 5), "986257691f5bae6a0632be819e2adf2f53e4c774a95a628a3787846f2c2d72c3"),
+        (4, 40): ((20, 20), "0b95e84940e9e79b30e78ce3fa001b0e38ffd164672481155e061cdb4e8208fd"),
+        (5, 5): ((2, 2, 1), "53803f121f4c3b7c974a7205396aad16eb23b61337801c9447827285a7a7f67a"),
+        (5, 10): ((4, 4, 2), "b0ad3bac9334e7af5936ea1bf1eb86ebbe0d64b1faf435c2d6eeaa119908925b"),
+        (5, 14): ((6, 6, 2), "4137046daff105cf7a2203938c6eeac8e1a1f592fcc2f2f73efec32cd253943d"),
+        (5, 50): ((20, 20, 10), "07aaab884d33ccb32fbdc66cba554b346464fd86482cb623960aec556cef56dd"),
+        (6, 6): ((2, 2, 2), "0d5242f73b8c3022e7fbfb6d42c2f23f687000c661940a2bb921a7a1557b908f"),
+        (6, 12): ((4, 4, 4), "7ac4ad45985f9180a4a85fc5481d41dd583fb6543594b27cbabf4450e88ad0b4"),
+        (6, 17): ((6, 6, 5), "5af1c4585089fe3323933a203234fb07ac5b6862f5ffa666223a5333a47007df"),
+        (6, 60): ((20, 20, 20), "11848634cc391035358898dd50cbf7bd61020fbe58541f8bf8abb46f40ed624c"),
+        (7, 7): ((2, 2, 2, 1), "3d7ec840c771b5ab02e243e6f621cef9f0df94f10814752cbfb57c8a2858f7a1"),
+        (7, 14): ((4, 4, 4, 2), "84f559b24cdbaeda61967083dc0f410af79f1426e8e896d35d32061fc24b7ee8"),
+        (7, 20): ((6, 6, 6, 2), "dbf7cf7ba1819cd68367ac10ad33a3fddb731ae4886e13dbb1b5c8dceb66fbd8"),
+        (7, 70): ((20, 20, 20, 10), "1eb1f3b27112d258b1edcb9f9c3f2078bad0a474c1e84a3b1bc8a7c12515a4c6"),
+        (8, 8): ((2, 2, 2, 2), "d899a042d9c6c10363df79f266fc2977979aee113b2d132b8efc22aab57351c4"),
+        (8, 16): ((4, 4, 4, 4), "9352fa4ace30d32521f84c3d5eb8225886c0086c858f459034808bb6894a7789"),
+        (8, 23): ((6, 6, 6, 5), "05d19780f24b909e56f1a59b33837007e7847debde709157b32c0ee44e0dfdb3"),
+        (8, 80): ((20, 20, 20, 20), "360df228a03f1267b0ee58edbd7da162474d467d62cbf53c0da363b9e0214e88"),
+    }
+
+    @pytest.mark.parametrize("k,x", sorted(PINNED))
+    def test_blue_edges_unchanged(self, k, x):
+        g = (build_odd_k if k % 2 else build_even_k)(k, x)
+        blocks, digest = self.PINNED[(k, x)]
+        assert g.blocks == blocks
+        assert hashlib.sha256(redblue_to_text(g).encode()).hexdigest() == digest
 
 
 class TestBetaBruteforce:

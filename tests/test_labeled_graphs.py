@@ -682,6 +682,34 @@ class TestConstructions:
         assert len(optima) >= 2
 
 
+class TestConstructionsPinned:
+    # sha256 of labeling_to_text, recorded before the labelings were rewritten
+    # as block-label tables; n = 13 and four labels at n = 16 leave a remainder
+    PINNED = {
+        (TWO_LABEL, 8): "ed70bbb43efe607d5e44a32fbbf502a252f895d15f0aa08433ecb5fd16a0dfaa",
+        (TWO_LABEL, 13): "48f4418fe6814921b77779f4650266a81fb1667a29efb996bc05d8f85bc41773",
+        (TWO_LABEL, 16): "39e8b9a9fe2a7063077cb9bd463c41ce4fef1ea161220a1fa0895180f2dcb62d",
+        (TWO_LABEL, 24): "04dfcdd201b6c132bf5b29f9084c9cb2d2afa04671a6fa6459be0c158148c791",
+        (THREE_LABEL, 8): "342bd03e33964914447e6d6f7e60b2fa617b73624ff54fc504dc4ce099b063be",
+        (THREE_LABEL, 13): "a503f009db69ebf7cd3dbd8ecdfae18e67e88addf00da9d44a81a829a247f357",
+        (THREE_LABEL, 16): "8375d612fbe5385ea83ef1c1d82031ef394b6e5984b2eac39fecded0528c5ece",
+        (THREE_LABEL, 24): "8bcb0b0d869fef6e53b4a9ad5729755a275ba94deff686d23d34c9beeddbcaf7",
+        (FOUR_LABEL, 12): "87a66abae2687822c0e9b4e936a67a003523b7fbddca21a8a886ac9d3a62dd9f",
+        (FOUR_LABEL, 13): "8441940b7b9528df551bea5309c8c597d5de2f62264f6bbb180ef2098f3c08a6",
+        (FOUR_LABEL, 16): "ff5cc6134b591c80d7c7c41723670301f9be1e863ff45f6a0afdde74d79a1381",
+        (FOUR_LABEL, 24): "d68d94b7e59431db1513f72a99db89be371db8ba366b973cbb4001e6421c2820",
+        (LEX_INFINITE, 8): "a3788bae7a24f5fee838899147976a112d9b0fe3de45faf6c2d75afafc41884e",
+        (LEX_INFINITE, 13): "2aa24f5816839c4ef17766714657d5a922213e0e532cdb3c3056d003fee76e65",
+        (LEX_INFINITE, 16): "f33c7f110462ca3ce3a01ede4d98a6004804ca9515a91d270ccab81f921379b7",
+        (LEX_INFINITE, 24): "4cf8070ceedca832782a91e47a186c0a6b3c9f5e74093d95f601b0b496ef8a9a",
+    }
+
+    @pytest.mark.parametrize("kind,n", sorted(PINNED))
+    def test_labels_unchanged(self, kind, n):
+        text = labeling_to_text(make_construction(kind, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[(kind, n)]
+
+
 class TestSerialization:
     def test_labeling_roundtrip(self):
         for lab in (

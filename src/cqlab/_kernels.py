@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 _P_FLOOR = 0.5 + 1e-12
+M_TOL = 1e-12  # bisection width of the f' root m1
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 # stamped on every benchmark result; cqbench/compare.py refuses to mix backends
@@ -39,8 +40,9 @@ BACKEND = "numpy"
 # matching enumeration
 # ---------------------------------------------------------------------------
 
-# rows per vectorised step of the matching scans; bounds the temporaries at a
-# few hundred kB whatever the table size
+# rows per vectorised step of the matching scans; each int64 temporary of a
+# step is 1024 x C(n, 2) x 8 bytes (745 kB at K_14, 983 kB at K_16), and a
+# step holds several at once
 _SCAN_ROWS = 1024
 
 
@@ -235,9 +237,9 @@ def _argmin_fprime(a, d, g, eta):
     return 0.5 * (l + r)
 
 
-def _solve_m1_val(a, d, g, eta, mtol):
-    # Smallest root of f' on [0, a/2]: returns (m1, True), or (argmin, False)
-    # when f' > 0 throughout (no stationary point).
+def _solve_m1_val(a, d, g, eta):
+    # Smallest root of f' on [0, a/2], to M_TOL: returns (m1, True), or
+    # (argmin, False) when f' > 0 throughout (no stationary point).
     if 2.0 - d <= 0.0:
         return 0.0, True
     mstar = _argmin_fprime(a, d, g, eta)
@@ -245,7 +247,8 @@ def _solve_m1_val(a, d, g, eta, mtol):
         return mstar, False
     lo = 0.0
     hi = mstar
-    while hi - lo > mtol:
+    tol = M_TOL  # a local: the loop below reads it on every step
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -256,12 +259,12 @@ def _solve_m1_val(a, d, g, eta, mtol):
     return 0.5 * (lo + hi), True
 
 
-def _f1_val(a, d, g, eta, mtol, curve):
+def _f1_val(a, d, g, eta, curve):
     # F1(alpha) = f(m1(alpha), alpha), as (f1, m1, p). Without curve the
     # stationary branch is definitional: no root of f' means no constraint
     # from this branch, coded as F1 = +inf. curve clamps m to the f'-argmin
     # instead, extending the curve continuously past the existence boundary.
-    m1, found = _solve_m1_val(a, d, g, eta, mtol)
+    m1, found = _solve_m1_val(a, d, g, eta)
     if not found and not curve:
         return math.inf, math.inf, math.nan
     return _f_val(m1, a, d, g, eta), m1, _p_val(m1, a, g, eta)
@@ -333,12 +336,12 @@ def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int) -> bool:
     return _dag_bound_core(indptr, indices, nv) < 0 and _has_cycle_core(indptr, indices, nv)
 
 
-def f1_values(alphas, delta, gamma, eta, mtol=1e-12, curve=False):
+def f1_values(alphas, delta, gamma, eta, curve=False):
     """Batch F1 evaluation; returns (f1, m1, p) arrays."""
     d, g, eta = float(delta), float(gamma), float(eta)
     f1, m1, p = [], [], []
     for a in alphas:
-        fa, ma, pa = _f1_val(float(a), d, g, eta, mtol, curve)
+        fa, ma, pa = _f1_val(float(a), d, g, eta, curve)
         f1.append(fa)
         m1.append(ma)
         p.append(pa)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .common import brute_cap
-from .errors import CyclePresent, InstanceTooLarge
+from .common import check_brute_cap
+from .errors import CyclePresent
 
 DEFAULT_BETA_PAIR_CAP = 12  # candidate blue pairs; 2x(x-1) <= 12 means x <= 3
 
@@ -154,20 +154,16 @@ def construction_blue_count(g: RedBlueGraph, skip_top_left_clique: bool) -> int:
     return count
 
 
-def beta_bruteforce(k: int, x: int, cap_pairs: int | None = None) -> int:
+def beta_bruteforce(k: int, x: int) -> int:
     """Exact beta(k, x) by exhausting blue-edge subsets. Guarded: the number
     of candidate blue pairs 2x(x-1) must stay within the cap (default 12,
-    i.e. x <= 3; override via cap_pairs or CQLAB_BRUTE_CAP)."""
+    i.e. x <= 3; override via CQLAB_BRUTE_CAP)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 1:
         raise ValueError("x must be >= 1")
     ncand = 2 * x * (x - 1)
-    limit = cap_pairs if cap_pairs is not None else brute_cap(DEFAULT_BETA_PAIR_CAP)
-    if ncand > limit:
-        raise InstanceTooLarge(
-            f"instance too large: {ncand} candidate blue pairs exceed the cap {limit}"
-        )
+    check_brute_cap(ncand, DEFAULT_BETA_PAIR_CAP, f"{ncand} candidate blue pairs")
     nv = 2 * x
     candidates = [
         (u, v)

@@ -20,7 +20,7 @@ from .partition_bounds import gamma_exact, gamma_upper_bound
 
 SCAN_STEP = 1e-3
 ALPHA_TOL = 1e-9
-M_TOL = 1e-12
+ETA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     math.inf when the derivative stays positive. The derivative is convex in
     m, so locating its minimum (golden-section search) certifies "smallest":
     the first root, if any, lies left of the argmin."""
-    m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta),
-                                      M_TOL)
+    m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta))
     return m if found else math.inf
 
 
@@ -184,9 +183,9 @@ def trivial_dense_bound(eta: float) -> float:
     return 2 / (1 - binary_entropy(eta))
 
 
-def _bisect_root(evaluate, lo: float, hi: float, tol: float):
+def _bisect_root(evaluate, lo: float, hi: float):
     # invariant: value(lo) <= 0 < value(hi); undefined (inf/nan) counts as > 0
-    while hi - lo > tol:
+    while hi - lo > ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float spacing exhausted (huge-alpha brackets)
@@ -208,8 +207,8 @@ def _bisect_root(evaluate, lo: float, hi: float, tol: float):
     return 0.5 * (lo + hi), (lo, hi)
 
 
-def _descending_root(evaluate, upper: float, step: float, tol: float):
-    """Largest root at or below `upper` by a descending step-`step` scan plus
+def _descending_root(evaluate, upper: float):
+    """Largest root at or below `upper` by a descending SCAN_STEP scan plus
     bisection; when the branch is still non-positive at `upper` the root lies
     above it and is bracketed geometrically instead (the endpoint branch can
     exceed the trivial bound). np.inf encodes "branch undefined here". The
@@ -227,18 +226,18 @@ def _descending_root(evaluate, upper: float, step: float, tol: float):
             if math.isfinite(vh) and vh <= 0:
                 lo = hi
             elif math.isfinite(vh):
-                return _bisect_root(evaluate, lo, hi, tol)
+                return _bisect_root(evaluate, lo, hi)
         raise RootDiagnostic("no sign change found while expanding above the trivial bound")
 
     prev_alpha = None
     prev_val = None
-    for a in np.arange(upper, 1.0, -step).tolist():
+    for a in np.arange(upper, 1.0, -SCAN_STEP).tolist():
         v = evaluate(a)
         if not math.isfinite(v):
             prev_alpha, prev_val = None, None
             continue
         if v <= 0 and prev_val is not None and prev_val > 0:
-            return _bisect_root(evaluate, a, prev_alpha, tol)
+            return _bisect_root(evaluate, a, prev_alpha)
         prev_alpha, prev_val = a, v
     return None, None
 
@@ -253,22 +252,22 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     def f2(a):
         return float(_kernels.f2_values((a,), delta, gamma, eta)[0][0])
 
-    alpha2, br2 = _descending_root(f2, upper, SCAN_STEP, ALPHA_TOL)
+    alpha2, br2 = _descending_root(f2, upper)
     if alpha2 is None:
         raise RootDiagnostic("endpoint branch lost its root; this should be impossible")
 
     def f1(a):
-        return float(_kernels.f1_values((a,), delta, gamma, eta, M_TOL)[0][0])
+        return float(_kernels.f1_values((a,), delta, gamma, eta)[0][0])
 
-    alpha1, br1 = _descending_root(f1, upper, SCAN_STEP, ALPHA_TOL)
+    alpha1, br1 = _descending_root(f1, upper)
 
     def f1_curve(a):
-        return float(_kernels.f1_values((a,), delta, gamma, eta, M_TOL, curve=True)[0][0])
+        return float(_kernels.f1_values((a,), delta, gamma, eta, curve=True)[0][0])
 
     if alpha1 is not None:
         alpha1_curve = alpha1
     else:
-        alpha1_curve, _ = _descending_root(f1_curve, upper, SCAN_STEP, ALPHA_TOL)
+        alpha1_curve, _ = _descending_root(f1_curve, upper)
         if alpha1_curve is None:
             alpha1_curve = math.inf
 
@@ -322,9 +321,9 @@ def alpha2_closed_form(ell, eta: float, delta: float = 1.0) -> float:
     return scale / (1 - binary_entropy(arg))
 
 
-def density_threshold(delta: float, ell, target_alpha: float, tol: float = 1e-6) -> float:
-    """The eta at which the dense bound alpha0 equals target_alpha, by
-    bisection over (3/4, 1]; raises NoCrossing when the target is never hit."""
+def density_threshold(delta: float, ell, target_alpha: float) -> float:
+    """The eta at which the dense bound alpha0 equals target_alpha, to ETA_TOL,
+    by bisection over (3/4, 1]; raises NoCrossing when the target is never hit."""
     lo, hi = 0.75 + 1e-6, 1.0
 
     def a0(eta):
@@ -340,7 +339,7 @@ def density_threshold(delta: float, ell, target_alpha: float, tol: float = 1e-6)
         raise NoCrossing(
             f"no crossing: alpha0 - {target_alpha} keeps sign {'+' if flo > 0 else '-'} on (3/4, 1]"
         )
-    while hi - lo > tol:
+    while hi - lo > ETA_TOL:
         mid = 0.5 * (lo + hi)
         if (a0(mid) - target_alpha > 0) == (flo > 0):
             lo = mid

@@ -229,7 +229,7 @@ def _cmd_gamma(args) -> int:
             "ratio_float": float(report.ratio),
             "analytic_asymptotic_ratio": f"{target.numerator}/{target.denominator}",
             "matching": [list(e) for e in matching.edges],
-            "blocks": list(labeling.construction.part_sizes),
+            "blocks": list(labeling.blocks),
         })
     elif args.cmd == "upper":
         val = partition_bounds.gamma_upper_bound(args.ell, conjectured_c2=args.conjectured_c2)

@@ -1,9 +1,12 @@
-"""Shared bits: the infinite-label sentinel, cap handling, output formatting."""
+"""Shared bits: the infinite-label sentinel, the brute-force guard, output
+formatting."""
 from __future__ import annotations
 
 import math
 import os
 from fractions import Fraction
+
+from .errors import InstanceTooLarge
 
 #: Distinguished label-count value for totally ordered (rank) labelings.
 INFINITE = math.inf
@@ -39,15 +42,20 @@ def ell_text(ell) -> str:
     return "inf" if is_infinite(ell) else str(int(ell))
 
 
-def brute_cap(default: int) -> int:
-    """Brute-force guard value, overridable via CQLAB_BRUTE_CAP."""
+def check_brute_cap(size: int, default: int, what: str) -> None:
+    """The brute-force guard: raise InstanceTooLarge when `size` exceeds the
+    cap, which is `default` unless CQLAB_BRUTE_CAP overrides it. `what`
+    describes the size in the message."""
     raw = os.environ.get(BRUTE_CAP_ENV)
-    if raw is None:
-        return default
     try:
-        return int(raw)
+        limit = default if raw is None else int(raw)
     except ValueError as exc:
         raise ValueError(f"{BRUTE_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if size > limit:
+        raise InstanceTooLarge(
+            f"instance too large: {what}, above the brute-force cap {limit} "
+            f"(override with {BRUTE_CAP_ENV})"
+        )
 
 
 def as_fraction(value) -> Fraction:

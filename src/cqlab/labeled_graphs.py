@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .common import INFINITE, as_fraction, brute_cap, ell_text, is_infinite, parse_ell
-from .errors import InstanceTooLarge
+from .common import INFINITE, as_fraction, check_brute_cap, ell_text, is_infinite, parse_ell
 from .partition_bounds import default_epsilon, epsilon_check
 
 TWO_LABEL = "two"
@@ -89,7 +88,7 @@ class EdgeLabeling:
             if bad:
                 raise ValueError(f"labels out of 1..{num_labels}: {sorted(set(bad))[:5]}")
         self._m = m
-        self.construction: Construction | None = None
+        self.blocks: tuple[int, ...] | None = None  # realized construction block sizes
 
     def label(self, u: int, v: int) -> int:
         if u == v or not (1 <= u <= self.n and 1 <= v <= self.n):
@@ -123,8 +122,9 @@ class EdgeLabeling:
         return cls(n, INFINITE, labels)
 
     @classmethod
-    def constant(cls, n: int, num_labels: int = 1, value: int = 1) -> "EdgeLabeling":
-        labels = {(u, v): value for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+    def constant(cls, n: int, num_labels: int = 1) -> "EdgeLabeling":
+        """Every pair labeled 1."""
+        labels = {(u, v): 1 for u in range(1, n + 1) for v in range(u + 1, n + 1)}
         return cls(n, num_labels, labels)
 
 
@@ -171,17 +171,6 @@ class CriticalReport:
 
     def __post_init__(self):
         assert self.critical_count == self.outward_count + self.inner_count
-
-
-@dataclass(frozen=True)
-class Construction:
-    kind: str
-    n_vertices: int
-    part_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.part_sizes) != self.n_vertices:
-            raise ValueError("part sizes must sum to the vertex count")
 
 
 def _validate(labeling: EdgeLabeling, matching: Matching):
@@ -300,17 +289,8 @@ def label_weight(t: int, epsilon, ell) -> Fraction:
     return sum(Fraction(2) ** (t - 2 - s) * eps**s for s in range(t - 1))
 
 
-def _check_cap(n: int, cap: int | None):
-    limit = cap if cap is not None else brute_cap(DEFAULT_MATCHING_CAP)
-    if n > limit:
-        raise InstanceTooLarge(
-            f"instance too large: N={n} exceeds the brute-force cap {limit} "
-            f"(override with CQLAB_BRUTE_CAP or an explicit cap)"
-        )
-
-
 def min_critical_matching_bruteforce(
-    labeling: EdgeLabeling, size: int, cap: int | None = None
+    labeling: EdgeLabeling, size: int
 ) -> tuple[Matching, CriticalReport]:
     """Exact minimum of the critical count over all size-`size` matchings.
 
@@ -320,7 +300,7 @@ def min_critical_matching_bruteforce(
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
-    _check_cap(labeling.n, cap)
+    check_brute_cap(labeling.n, DEFAULT_MATCHING_CAP, f"N={labeling.n}")
     best_count, edges0 = _kernels.min_critical_scan(labeling.matrix0(), size)
     edges = tuple((int(a) + 1, int(b) + 1) for a, b in edges0)
     matching = Matching(edges)
@@ -329,7 +309,7 @@ def min_critical_matching_bruteforce(
     return matching, report
 
 
-def anti_lex_min_matching(labeling: EdgeLabeling, size: int, cap: int | None = None) -> Matching:
+def anti_lex_min_matching(labeling: EdgeLabeling, size: int) -> Matching:
     """Minimal size-`size` matching in the anti-lexicographic order: compare
     rank multisets from the largest rank downward. Brute force; totally
     ordered labelings only."""
@@ -337,7 +317,7 @@ def anti_lex_min_matching(labeling: EdgeLabeling, size: int, cap: int | None = N
         raise ValueError("anti-lexicographic minimization needs a totally ordered labeling")
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
-    _check_cap(labeling.n, cap)
+    check_brute_cap(labeling.n, DEFAULT_MATCHING_CAP, f"N={labeling.n}")
     edges0 = _kernels.anti_lex_scan(labeling.matrix0(), size)
     return Matching(tuple((int(a) + 1, int(b) + 1) for a, b in edges0))
 
@@ -490,12 +470,12 @@ def switch_local_search(
         result = None
 
         def dfs(i0, a0, bcur, used, delta, remaining):
+            # entered only while result is None (callers return once it is set)
             nonlocal result
-            if result is not None:
-                return
             Wb = W[bcur]
-            # close the cycle (needs >= 2 matching edges)
-            if len(used) >= 2 and bcur != a0:
+            # close the cycle (needs >= 2 matching edges; bcur then lies on a
+            # matching edge other than a0's, so bcur != a0)
+            if len(used) >= 2:
                 closing = delta + Wb[a0]
                 if closing < 0:
                     result = list(used)
@@ -542,12 +522,12 @@ def switch_local_search(
 # constructions
 # ---------------------------------------------------------------------------
 
-def construction_blocks(kind: str, n: int) -> Construction:
+def construction_blocks(kind: str, n: int) -> tuple[int, ...]:
     """Realized block sizes: floor each ratio, remainder into the last block."""
     if kind == LEX_INFINITE:
         if n < 2:
             raise ValueError("need at least 2 vertices")
-        return Construction(kind=kind, n_vertices=n, part_sizes=(n,))
+        return (n,)
     if kind not in _BLOCK_TABLES:
         raise ValueError(f"unknown construction kind {kind!r}")
     ratios = _BLOCK_TABLES[kind][0]
@@ -556,21 +536,21 @@ def construction_blocks(kind: str, n: int) -> Construction:
         need = math.ceil(1 / min(ratios))
         raise ValueError(f"N={n} too small for the {kind}-label construction (need N >= {need})")
     sizes[-1] += n - sum(sizes)
-    return Construction(kind=kind, n_vertices=n, part_sizes=tuple(sizes))
+    return tuple(sizes)
 
 
 def make_construction(kind: str, n: int) -> EdgeLabeling:
     """Build the named labeling on K_n; blocks are consecutive vertex ranges."""
-    cons = construction_blocks(kind, n)
+    blocks = construction_blocks(kind, n)
     if kind == LEX_INFINITE:
         lab = EdgeLabeling.lexicographic(n)
     else:
         rule = _BLOCK_TABLES[kind][1]
-        block = [i for i, s in enumerate(cons.part_sizes) for _ in range(s)]
+        block = [i for i, s in enumerate(blocks) for _ in range(s)]
         labels = {(u, v): rule[block[u - 1]][block[v - 1]]
                   for u in range(1, n + 1) for v in range(u + 1, n + 1)}
         lab = EdgeLabeling(n, len(rule), labels)
-    lab.construction = cons
+    lab.blocks = blocks
     return lab
 
 

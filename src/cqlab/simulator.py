@@ -157,7 +157,7 @@ class RoundContext:
 
     def __init__(self):
         self._answers: dict[tuple[int, int], int] = {}
-        self._pending: set[tuple[int, int]] = set()
+        self._pending: dict[tuple[int, int], int] = {}  # this round's bits
 
     def answered(self, u: int, v: int) -> int:
         key = (min(u, v), max(u, v))
@@ -179,11 +179,11 @@ def run_l_adaptive(
     strategy,
     delta: float,
     ell: int,
-    count_verification: bool = True,
     budget: int | None = None,
 ) -> RunResult:
     """Run an ell-round strategy under budget floor(n**delta) (or an explicit
-    budget, used by block-wise amplification).
+    budget, used by block-wise amplification). The final verification
+    re-queries count against the budget too.
 
     A strategy supplies `round_queries(rnd, answers, ctx)` returning the
     round's batch (computable from earlier rounds only: the harness withholds
@@ -196,29 +196,22 @@ def run_l_adaptive(
         budget = query_budget(g.n, delta)
     ctx = RoundContext()
     start = g.queries_used
-    batch_bits: list[tuple[tuple[int, int], int]] = []
     for rnd in range(ell):
-        batch_bits.clear()
         batch = strategy.round_queries(rnd, ctx.known(), ctx)
         for u, v in batch:
-            key = (min(u, v), max(u, v))
             if g.queries_used - start >= budget:
                 raise BudgetExceeded(
                     f"budget exceeded: round {rnd} passed {budget} total queries"
                 )
-            ctx._pending.add(key)
-            bit = g.query(u, v)
-            batch_bits.append((key, bit))
+            ctx._pending[(min(u, v), max(u, v))] = g.query(u, v)
         # round closes: release the answers
-        for key, bit in batch_bits:
-            ctx._answers[key] = bit
+        ctx._answers.update(ctx._pending)
         ctx._pending.clear()
         g.close_round()
     chosen = tuple(sorted(set(strategy.result(ctx.known(), ctx))))
-    before_verify = g.queries_used - start
     is_clique, density = _verify_subgraph(g, chosen)
-    used = g.queries_used - start if count_verification else before_verify
-    if count_verification and used > budget:
+    used = g.queries_used - start
+    if used > budget:
         raise BudgetExceeded(
             f"budget exceeded: verification pushed the run to {used} > {budget} queries"
         )
@@ -263,7 +256,6 @@ class BatchedGreedyStrategy:
     compatible clique. Unbounded computation, bounded queries."""
 
     def __init__(self, n: int, seed: int, budget: int, ell: int, vertices=None):
-        self.n = n
         self.budget = budget
         self.ell = ell
         pool = list(range(n)) if vertices is None else sorted(vertices)

@@ -184,7 +184,7 @@ def test_criterion_07_alternating_suite():
     for k, x in ((2, 1), (2, 2), (2, 3), (3, 3)):
         build = alt.build_even_k if k % 2 == 0 else alt.build_odd_k
         g = build(k, x)
-        assert alt.beta_bruteforce(k, x, cap_pairs=12) >= len(g.blue_edges)
+        assert alt.beta_bruteforce(k, x) >= len(g.blue_edges)
     assert time.time() - t0 < 120.0
     _report(7, "constructions k=2..6 at x up to 10k, beta brute force", t0)
 

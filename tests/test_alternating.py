@@ -251,11 +251,19 @@ class TestBetaBruteforce:
             g = build_even_k(k, x)
             assert beta_bruteforce(k, x) >= len(g.blue_edges)
         g = build_odd_k(3, 3)
-        assert beta_bruteforce(3, 3, cap_pairs=12) >= len(g.blue_edges)
+        assert beta_bruteforce(3, 3) >= len(g.blue_edges)
 
     def test_cap_guard(self):
         with pytest.raises(InstanceTooLarge, match="instance too large"):
             beta_bruteforce(2, 4)
+
+    def test_cap_env_override(self, monkeypatch):
+        # beta(2, 2) has 4 candidate blue pairs
+        monkeypatch.setenv("CQLAB_BRUTE_CAP", "3")
+        with pytest.raises(InstanceTooLarge, match="instance too large"):
+            beta_bruteforce(2, 2)
+        monkeypatch.delenv("CQLAB_BRUTE_CAP")
+        assert beta_bruteforce(2, 2) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

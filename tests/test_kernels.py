@@ -204,8 +204,8 @@ class TestDenseEvalParity:
         assert np.allclose(f2[finite], f[finite], rtol=0, atol=1e-12)
         # one batched F1 call equals one call per alpha, on both branches
         for curve in (False, True):
-            batch = K.f1_values(alphas, delta, gamma, eta, 1e-12, curve)
-            single = [K.f1_values(np.array([a]), delta, gamma, eta, 1e-12, curve)
+            batch = K.f1_values(alphas, delta, gamma, eta, curve=curve)
+            single = [K.f1_values(np.array([a]), delta, gamma, eta, curve=curve)
                       for a in alphas]
             for k in range(3):
                 col = np.array([out[k][0] for out in single])

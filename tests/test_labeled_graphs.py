@@ -242,15 +242,10 @@ class TestBruteForceMinimum:
             # all counts tie at 0: the lexicographically smallest edge list wins
             assert m.edges == tuple((2 * i + 1, 2 * i + 2) for i in range(size))
 
-    def test_cap_guard(self):
-        lab = EdgeLabeling.constant(8, num_labels=1)
-        with pytest.raises(InstanceTooLarge, match="instance too large"):
-            min_critical_matching_bruteforce(lab, 3, cap=6)
-
     def test_cap_env_override(self, monkeypatch):
         lab = EdgeLabeling.constant(8, num_labels=1)
         monkeypatch.setenv("CQLAB_BRUTE_CAP", "7")
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(InstanceTooLarge, match="instance too large"):
             min_critical_matching_bruteforce(lab, 3)
         monkeypatch.setenv("CQLAB_BRUTE_CAP", "8")
         min_critical_matching_bruteforce(lab, 3)
@@ -291,7 +286,7 @@ class TestAntiLex:
 
     def test_requires_infinite_mode(self):
         with pytest.raises(ValueError):
-            anti_lex_min_matching(EdgeLabeling.constant(4, 2, 1), 2)
+            anti_lex_min_matching(EdgeLabeling.constant(4, 2), 2)
 
     def test_antilex_beats_all_on_top_rank(self):
         lab = random_labeling(8, INFINITE, seed=3)
@@ -619,7 +614,8 @@ class TestConstructions:
         ],
     )
     def test_block_sizes(self, kind, n, blocks):
-        assert construction_blocks(kind, n).part_sizes == blocks
+        assert construction_blocks(kind, n) == blocks
+        assert make_construction(kind, n).blocks == blocks
 
     def test_two_label_labels(self):
         lab = make_construction(TWO_LABEL, 8)

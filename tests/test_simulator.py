@@ -203,10 +203,6 @@ class TestRunLAdaptive:
         res = run_l_adaptive(g, _FixedBatchStrategy(pairs), 2.0, 1)
         # 1 round query + 1 verification re-query of the same pair
         assert res.queries_used == 2
-        g2 = new_instance(32, 2)
-        res2 = run_l_adaptive(g2, _FixedBatchStrategy(pairs), 2.0, 1,
-                              count_verification=False)
-        assert res2.queries_used == 1
 
     def test_batched_greedy_contract(self):
         n = 512

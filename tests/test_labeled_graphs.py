@@ -242,6 +242,17 @@ class TestBruteForceMinimum:
             # all counts tie at 0: the lexicographically smallest edge list wins
             assert m.edges == tuple((2 * i + 1, 2 * i + 2) for i in range(size))
 
+    def test_cap_guard(self, monkeypatch):
+        # without the override the default cap holds, and the guard fires
+        # before any matching is enumerated
+        monkeypatch.delenv("CQLAB_BRUTE_CAP", raising=False)
+        n = labeled_graphs.DEFAULT_MATCHING_CAP + 1
+        lab = EdgeLabeling.constant(n, num_labels=1)
+        with pytest.raises(InstanceTooLarge, match=f"instance too large: N={n}"):
+            min_critical_matching_bruteforce(lab, 3)
+        with pytest.raises(InstanceTooLarge, match=f"instance too large: N={n}"):
+            anti_lex_min_matching(EdgeLabeling.lexicographic(n), 3)
+
     def test_cap_env_override(self, monkeypatch):
         lab = EdgeLabeling.constant(8, num_labels=1)
         monkeypatch.setenv("CQLAB_BRUTE_CAP", "7")

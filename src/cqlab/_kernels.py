@@ -9,15 +9,17 @@ acyclic there is no alternating cycle, and the exact path DFS stops as soon
 as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
 bound (or a cyclic digraph) makes the path DFS exhaustive. The matching
-scans are vectorised NumPy: one partner table lists every matching in
-lexicographic order, and the scans compare labels over it in row chunks.
+scans are vectorised NumPy: one table of edge ids lists every matching in
+lexicographic order, and the scans read per-edge label tables through it in
+row chunks.
 The dense formulas f, f', p and the entropy live here only; `bounds` calls
 them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
-  * matchings inside kernels: partner array, partner[v] = matched vertex or -1,
-    one row of the int8 partner table per matching;
+  * matchings inside kernels: rows of sorted edge ids, one row of the int16
+    matching table per matching; the id of (u, v), u < v, is its rank in
+    lexicographic order from 0, which is np.triu_indices order;
   * red/blue graphs: red edge i joins vertices 2i and 2i+1, so the red partner
     of v is v ^ 1; blue adjacency is CSR as two lists (indptr, indices),
     vertices 0-based.
@@ -40,44 +42,38 @@ BACKEND = "numpy"
 # matching enumeration
 # ---------------------------------------------------------------------------
 
-# rows per vectorised step of the matching scans; each int64 temporary of a
-# step is 1024 x C(n, 2) x 8 bytes (745 kB at K_14, 983 kB at K_16), and a
-# step holds several at once
+# rows per vectorised step of the matching scans; a step's temporaries hold
+# rows x m or rows x C(m, 2) entries (m the matching size), whatever n is
 _SCAN_ROWS = 1024
 
 
 def _matching_table(n, m):
-    """Every size-m matching of K_n as one row of an int8 (rows, n) partner
-    table (row[v] = v's partner, or -1 when v is unmatched). Rows come in
-    lexicographic order of the sorted edge list."""
-    rows = math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2))
-    table = np.empty((rows, n), np.int8)
-    if m == 0:
-        table.fill(-1)
-        return table
-    # vertex 0 matched to v = 1, 2, ...: those edge lists start with (0, v);
-    # the rest is the (n-2, m-1) table mapped in order onto the other vertices
+    """Every size-m matching of K_n, m >= 1, as one row of an int16 (rows, m)
+    table of ascending edge ids. Rows come in lexicographic order of the
+    sorted edge list."""
+    if m == 1:
+        return np.arange(n * (n - 1) // 2, dtype=np.int16)[:, None]
+    # C(n, 2m) vertex sets times (2m-1)!! perfect matchings of each
+    table = np.empty((math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2)), m), np.int16)
+    eid = np.zeros((n, n), np.int16)
+    eid[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    # first edge (i, v): vertices below i stay unmatched, and the other m-1
+    # edges form an (n-i-2, m-1) table over the vertices above i but v. That
+    # table is the tail of the (n-2, m-1) table that avoids its vertices below
+    # i, read through `others`, the vertices of K_n but i and v in order.
     sub = _matching_table(n - 2, m - 1)
+    sa, sb = np.triu_indices(n - 2, 1)
+    low = sa[sub[:, 0]]  # each row's lowest vertex, ascending
     r = 0
-    for v in range(1, n):
-        rest = np.delete(np.arange(1, n, dtype=np.int8), v - 1)
-        block = table[r:r + len(sub)]
-        block[:, 0] = v
-        block[:, v] = 0
-        block[:, rest] = np.where(sub >= 0, rest[sub], -1)
-        r += len(sub)
-    # vertex 0 unmatched: every edge list here starts at a vertex above 0
-    if r < rows:
-        sub = _matching_table(n - 1, m)
-        table[r:, 0] = -1
-        table[r:, 1:] = np.where(sub >= 0, sub + 1, -1)
+    for i in range(n - 2 * m + 1):
+        tail = sub[np.searchsorted(low, i):]
+        for v in range(i + 1, n):
+            others = np.array([w for w in range(n) if w != i and w != v], np.intp)
+            block = table[r:r + len(tail)]
+            block[:, 0] = eid[i, v]
+            block[:, 1:] = eid[others[sa], others[sb]][tail]
+            r += len(tail)
     return table
-
-
-def _row_edges(row):
-    # sorted (m, 2) edge list of one partner-table row
-    low = np.flatnonzero(row > np.arange(len(row)))
-    return np.column_stack((low, row[low])).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +268,30 @@ def _f1_val(a, d, g, eta, curve):
 
 def min_critical_scan(lab: np.ndarray, size: int):
     """Exact (min critical count, argmin matching edges) over all size-`size`
-    matchings of the labeled K_n given as a 0-based (n, n) int64 matrix. Ties
-    keep the first matching in lexicographic order of the sorted edge list."""
+    matchings of the labeled K_n given as a 0-based symmetric (n, n) int64
+    matrix. Ties keep the first matching in lexicographic order of the sorted
+    edge list. By inclusion-exclusion (an edge has two endpoints), the count
+    of M is sum_e single[e] - sum_{e<f} both[e, f]: single[e] counts pairs
+    (x, w), x in e, w outside e, with lab(x, w) < L_e, and both[e, f] pairs
+    x in e, y in f with lab(x, y) < min(L_e, L_f)."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
-    n = lab.shape[0]
-    table = _matching_table(n, size)
-    a, b = np.triu_indices(n, 1)
-    lab_ab = lab[a, b]
-    verts = np.arange(n)
+    a, b = np.triu_indices(lab.shape[0], 1)
+    L = lab[a, b]
+    # w = x's partner has label L_e, so it never counts; the terms w = x are
+    # subtracted, so no diagonal value is assumed
+    single = sum((lab[x] < L[:, None]).sum(1) - (lab[x, x] < L) for x in (a, b))
+    lo = np.minimum.outer(L, L)
+    both = sum((lab[np.ix_(x, y)] < lo).astype(np.int64) for x in (a, b) for y in (a, b))
+    table = _matching_table(lab.shape[0], size)
+    j, k = np.triu_indices(size, 1)
     best, best_row = -1, None
     for s in range(0, len(table), _SCAN_ROWS):
-        P = table[s:s + _SCAN_ROWS]
-        # label of the matching edge covering each vertex; -1 when uncovered,
-        # below every label, so an uncovered endpoint never makes (a, b) critical;
-        # a matching edge's covering labels equal its own, so the strict
-        # comparison never counts it
-        cov = np.where(P >= 0, lab[verts, P], -1)
-        counts = ((cov[:, a] > lab_ab) | (cov[:, b] > lab_ab)).sum(axis=1)
+        T = table[s:s + _SCAN_ROWS]
+        counts = single[T].sum(1) - both[T[:, j], T[:, k]].sum(1)
         i = int(np.argmin(counts))
         if best < 0 or counts[i] < best:
-            best, best_row = int(counts[i]), P[i]
-    return best, _row_edges(best_row)
+            best, best_row = int(counts[i]), T[i]
+    return best, np.column_stack((a[best_row], b[best_row]))
 
 
 def anti_lex_scan(lab: np.ndarray, size: int):
@@ -300,18 +299,17 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     the largest down, form the lexicographically smallest sequence; ties keep
     the first matching in lexicographic order of the sorted edge list."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
-    n = lab.shape[0]
-    table = _matching_table(n, size)
-    verts = np.arange(n)
+    a, b = np.triu_indices(lab.shape[0], 1)
+    L = lab[a, b]
+    table = _matching_table(lab.shape[0], size)
     best_key, best_row = None, None
     for s in range(0, len(table), _SCAN_ROWS):
-        P = table[s:s + _SCAN_ROWS]
-        # each row's matching-edge labels (read at the lower endpoint), largest first
-        keys = np.sort(lab[verts, P][P > verts].reshape(len(P), size), axis=1)[:, ::-1]
+        T = table[s:s + _SCAN_ROWS]
+        keys = np.sort(L[T], axis=1)[:, ::-1]  # each row's edge labels, largest first
         i = int(np.lexsort(keys.T[::-1])[0])  # stable: first row of the minimal key
         if best_key is None or tuple(keys[i]) < best_key:
-            best_key, best_row = tuple(keys[i]), P[i]
-    return _row_edges(best_row)
+            best_key, best_row = tuple(keys[i]), T[i]
+    return np.column_stack((a[best_row], b[best_row]))
 
 
 def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int) -> int:

@@ -24,6 +24,17 @@ def red_partner(v: int) -> int:
     return v + 1 if v % 2 == 1 else v - 1
 
 
+def _csr(nv: int, edges) -> tuple[list[int], list[int]]:
+    # CSR (indptr, indices) of 1-based edges on nv vertices, 0-based, with
+    # each vertex's neighbours in the order of `edges`
+    nbrs = [[] for _ in range(nv)]
+    for u, v in edges:
+        nbrs[u - 1].append(v - 1)
+        nbrs[v - 1].append(u - 1)
+    indptr = list(itertools.accumulate(map(len, nbrs), initial=0))
+    return indptr, [w for a in nbrs for w in a]
+
+
 @dataclass(frozen=True)
 class RedBlueGraph:
     num_red: int
@@ -52,13 +63,7 @@ class RedBlueGraph:
 
     def csr(self) -> tuple[list[int], list[int]]:
         """0-based blue adjacency in CSR form (indptr, indices) for the kernels."""
-        nbrs = [[] for _ in range(self.num_vertices)]
-        for u, v in sorted(self.blue_edges):
-            nbrs[u - 1].append(v - 1)
-            nbrs[v - 1].append(u - 1)
-        indptr = list(itertools.accumulate(map(len, nbrs), initial=0))
-        indices = [w for a in nbrs for w in a]
-        return indptr, indices
+        return _csr(self.num_vertices, sorted(self.blue_edges))
 
 
 def has_alternating_cycle(g: RedBlueGraph) -> bool:
@@ -177,13 +182,9 @@ def beta_bruteforce(k: int, x: int) -> int:
         chosen = [candidates[i] for i in range(ncand) if mask >> i & 1]
         if len(chosen) <= best:
             continue
-        g = RedBlueGraph(num_red=x, blue_edges=frozenset(chosen))
-        try:
-            if max_blue_in_alternating_path(g) >= k:
-                continue
-        except CyclePresent:
-            continue
-        best = len(chosen)
+        # the candidates are valid blue edges; the kernel answers -1 on a cycle
+        if 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k:
+            best = len(chosen)
     return best
 
 

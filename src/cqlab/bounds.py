@@ -275,8 +275,8 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     if br1 is not None:
         brackets["alpha1"] = br1
 
+    m1 = solve_m1(alpha1, delta, gamma, eta) if alpha1 is not None else math.inf
     if alpha1 is not None and alpha1 <= alpha2:
-        m1 = solve_m1(alpha1, delta, gamma, eta)
         alpha0 = alpha1
         case = "stationary"
         p_opt = _kernels._p_val(m1, alpha1, gamma, eta)
@@ -284,7 +284,6 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
         alpha0 = alpha2
         case = "endpoint"
         p_opt = _kernels._p_val(alpha2 / 2, alpha2, gamma, eta)
-        m1 = solve_m1(alpha1, delta, gamma, eta) if alpha1 is not None else math.inf
 
     return DenseSolution(
         m1=m1,
@@ -393,9 +392,5 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
 def table_l2_rows():
     """The eight-row eta/alpha1/alpha2 table for two labels at delta = 1
     (eta = 0.930 .. 0.937). alpha1 is the stationary-curve value."""
-    rows = []
-    for i in range(8):
-        eta = round(0.930 + 0.001 * i, 3)
-        sol = dense_alpha_upper(DenseBoundQuery(delta=1.0, ell=2, eta=eta))
-        rows.append({"eta": eta, "alpha1": sol.alpha1_curve, "alpha2": sol.alpha2})
-    return rows
+    return [{key: row[key] for key in ("eta", "alpha1", "alpha2")}
+            for row in sweep_rows(1.0, [2], 0.930, 0.937, 0.001, append_eta1=False)]

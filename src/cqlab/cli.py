@@ -26,8 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cqlab", description=__doc__)
     sub = top.add_subparsers(dest="group", required=True)
 
-    def add_output(p):
-        p.add_argument("--output", choices=["plain", "json", "csv"], default=None)
+    def add_output(p, *extra):
+        # only the formats the subcommand prints
+        p.add_argument("--output", choices=["plain", "json", *extra], default=None)
 
     b = sub.add_parser("bounds", help="clique/dense-subgraph size bounds")
     bsub = b.add_subparsers(dest="cmd", required=True)
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-eta1", action="store_true", help="skip the appended eta=1 row")
 
     p = bsub.add_parser("table-l2", help="the eight-column eta/alpha1/alpha2 table")
-    add_output(p)
+    add_output(p, "csv")
 
     p = bsub.add_parser("threshold", help="eta at which the dense bound hits alpha")
     p.add_argument("--delta", type=float, required=True)

@@ -231,6 +231,14 @@ class TestErrorPaths:
             main(["bounds", "clique", "--delta", "1", "--bogus-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cmd", [["clique"], ["dense", "--eta", "0.95"]])
+    def test_csv_output_refused_where_not_printed(self, capsys, cmd):
+        # only table-l2 prints CSV; elsewhere --output csv is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", *cmd, "--delta", "1", "--ell", "3", "--output", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run(capsys, "gamma", "verify", "--construction", "four",
                              "--n", "6", "--brute-force")

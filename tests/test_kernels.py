@@ -5,10 +5,13 @@ build of the kernels, so these check the public entry points against the
 cores they call; a chain of 2,000 red edges checks that the walker is not
 recursive. The dense F1/F2 batch wrappers are checked against closed forms
 and one-alpha calls. The matching scans built on the table are checked
-against itertools oracles in tests/test_labeled_graphs.py.
+here against count_critical over every matching and against a digest of
+their outputs recorded with the earlier partner-table scans, and in
+tests/test_labeled_graphs.py against itertools oracles.
 """
 import contextlib
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import _kernels as K
+from cqlab.common import INFINITE
 from cqlab.errors import CyclePresent
 from cqlab.alternating import (
     RedBlueGraph,
@@ -28,6 +32,14 @@ from cqlab.alternating import (
     has_alternating_cycle,
     max_blue_in_alternating_path,
     red_partner,
+)
+from cqlab.labeled_graphs import (
+    CONSTRUCTION_KINDS,
+    FOUR_LABEL,
+    Matching,
+    count_critical,
+    make_construction,
+    random_labeling,
 )
 from test_alternating import oracle_paths
 
@@ -54,23 +66,73 @@ def _itertools_matchings(n, m):
 class TestMatchingTable:
     def test_order_is_lexicographic(self):
         for n in range(2, 10):
+            a, b = np.triu_indices(n, 1)
             for m in range(1, n // 2 + 1):
-                rows = [tuple(map(tuple, K._row_edges(row).tolist()))
-                        for row in K._matching_table(n, m)]
+                table = K._matching_table(n, m)
+                rows = [tuple(zip(a[row].tolist(), b[row].tolist())) for row in table]
                 assert rows == _itertools_matchings(n, m)
 
     def test_counts(self):
         for n in range(2, 10):
+            a, b = np.triu_indices(n, 1)
             for m in range(1, n // 2 + 1):
                 table = K._matching_table(n, m)
                 # C(n, 2m) vertex sets times (2m-1)!! perfect matchings of each
                 rows = math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2))
-                assert table.shape == (rows, n) == (len(_itertools_matchings(n, m)), n)
-                assert table.dtype == np.int8
-                assert np.all((table == -1).sum(axis=1) == n - 2 * m)
-                matched = table >= 0
-                back = np.take_along_axis(table, np.where(matched, table, 0), axis=1)
-                assert np.array_equal(back[matched], np.nonzero(matched)[1])
+                assert table.shape == (rows, m) == (len(_itertools_matchings(n, m)), m)
+                assert table.dtype == np.int16
+                # each row holds m ascending edge ids on 2m distinct vertices
+                assert np.all(np.diff(table, axis=1) > 0)
+                assert table.min() >= 0 and table.max() < len(a)
+                verts = np.sort(np.concatenate((a[table], b[table]), axis=1), axis=1)
+                assert np.all(np.diff(verts, axis=1) > 0)
+
+
+def _scan_battery():
+    # every construction kind at n 8-12 (the four-label one needs n >= 12),
+    # and 100 seeded random labelings at n 4-12 with 2, 3, 4 or infinitely
+    # many labels, a third of them scaled by 10^11 (labels past int32); each
+    # labeling at every matching size
+    labs = [make_construction(kind, n).matrix0() for kind in CONSTRUCTION_KINDS
+            for n in range(8, 13) if kind != FOUR_LABEL or n == 12]
+    rng = random.Random(2024)
+    for i in range(100):
+        n = rng.randint(4, 12)
+        ell = rng.choice([2, 3, 4, INFINITE])
+        lab = random_labeling(n, ell, seed=rng.randrange(10**6)).matrix0()
+        labs.append(lab * 10**11 if i % 3 == 0 else lab)
+    return [(lab, size) for lab in labs for size in range(1, lab.shape[0] // 2 + 1)]
+
+
+class TestMatchingScans:
+    # sha256 of the battery's (count, argmin edges, anti-lex edges), recorded
+    # with the partner-table scans the edge-id scans replaced
+    BATTERY_DIGEST = "f54312112435e499898a7bc39fc3f94b525ab7e1c4230ab6c0aba3a7843896e7"
+
+    def test_battery_digest(self):
+        out = []
+        for lab, size in _scan_battery():
+            count, edges = K.min_critical_scan(lab, size)
+            out.append((count, edges.tolist(), K.anti_lex_scan(lab, size).tolist()))
+        assert len(out) == 444
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.BATTERY_DIGEST
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_minimum_over_count_critical(self, seed):
+        # the inclusion-exclusion count's minimum and first minimiser equal
+        # those of count_critical over every matching, in lexicographic order
+        rng = random.Random(seed)
+        n = rng.randint(4, 9)
+        size = rng.randint(1, n // 2)
+        lab = random_labeling(n, rng.choice([2, 3, 4, INFINITE]), seed=seed)
+        matchings = _itertools_matchings(n, size)
+        counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
+                  for m in matchings]
+        best = min(counts)
+        count, edges = K.min_critical_scan(lab.matrix0(), size)
+        assert count == best
+        assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
 
 
 def _random_graph(rng, max_x):

@@ -256,14 +256,14 @@ def _solve_m1_val(a, d, g, eta):
 
 
 def _f1_val(a, d, g, eta, curve):
-    # F1(alpha) = f(m1(alpha), alpha), as (f1, m1, p). Without curve the
-    # stationary branch is definitional: no root of f' means no constraint
-    # from this branch, coded as F1 = +inf. curve clamps m to the f'-argmin
-    # instead, extending the curve continuously past the existence boundary.
+    # F1(alpha) = f(m1(alpha), alpha). Without curve the stationary branch is
+    # definitional: no root of f' means no constraint from this branch, coded
+    # as F1 = +inf. curve clamps m to the f'-argmin instead, extending the
+    # curve continuously past the existence boundary.
     m1, found = _solve_m1_val(a, d, g, eta)
     if not found and not curve:
-        return math.inf, math.inf, math.nan
-    return _f_val(m1, a, d, g, eta), m1, _p_val(m1, a, g, eta)
+        return math.inf
+    return _f_val(m1, a, d, g, eta)
 
 
 def min_critical_scan(lab: np.ndarray, size: int):
@@ -335,23 +335,13 @@ def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int) -> bool:
 
 
 def f1_values(alphas, delta, gamma, eta, curve=False):
-    """Batch F1 evaluation; returns (f1, m1, p) arrays."""
+    """F1 = f(m1(alpha), alpha) at each alpha, as one float array: +inf where
+    f' has no root on [0, alpha/2], unless curve puts m1 at the f'-argmin."""
     d, g, eta = float(delta), float(gamma), float(eta)
-    f1, m1, p = [], [], []
-    for a in alphas:
-        fa, ma, pa = _f1_val(float(a), d, g, eta, curve)
-        f1.append(fa)
-        m1.append(ma)
-        p.append(pa)
-    return np.array(f1), np.array(m1), np.array(p)
+    return np.array([_f1_val(float(a), d, g, eta, curve) for a in alphas])
 
 
 def f2_values(alphas, delta, gamma, eta):
-    """Batch F2 evaluation (m = alpha/2); returns (f2, p) arrays."""
+    """F2 = f(alpha/2, alpha) at each alpha, as one float array."""
     d, g, eta = float(delta), float(gamma), float(eta)
-    f2, p = [], []
-    for a in alphas:
-        a = float(a)
-        f2.append(_f_val(0.5 * a, a, d, g, eta))
-        p.append(_p_val(0.5 * a, a, g, eta))
-    return np.array(f2), np.array(p)
+    return np.array([_f_val(0.5 * a, a, d, g, eta) for a in map(float, alphas)])

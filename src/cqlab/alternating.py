@@ -160,7 +160,8 @@ def construction_blue_count(g: RedBlueGraph, skip_top_left_clique: bool) -> int:
 
 
 def beta_bruteforce(k: int, x: int) -> int:
-    """Exact beta(k, x) by exhausting blue-edge subsets. Guarded: the number
+    """Exact beta(k, x): the largest size with a feasible blue-edge subset,
+    trying every subset of each size from the largest down. Guarded: the number
     of candidate blue pairs 2x(x-1) must stay within the cap (default 12,
     i.e. x <= 3; override via CQLAB_BRUTE_CAP)."""
     if k < 1:
@@ -177,15 +178,13 @@ def beta_bruteforce(k: int, x: int) -> int:
         if red_partner(u) != v
     ]
     assert len(candidates) == ncand
-    best = 0
-    for mask in range(1 << ncand):
-        chosen = [candidates[i] for i in range(ncand) if mask >> i & 1]
-        if len(chosen) <= best:
-            continue
-        # the candidates are valid blue edges; the kernel answers -1 on a cycle
-        if 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k:
-            best = len(chosen)
-    return best
+    # largest size first: the first feasible size is the maximum
+    for size in range(ncand, 0, -1):
+        for chosen in itertools.combinations(candidates, size):
+            # the candidates are valid blue edges; the kernel answers -1 on a cycle
+            if 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k:
+                return size
+    return 0
 
 
 def redblue_to_text(g: RedBlueGraph) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .common import ell_text, is_infinite, validate_ell
 from .errors import NoCrossing, POutOfRange, RootDiagnostic
-from .partition_bounds import gamma_exact, gamma_upper_bound
+from .partition_bounds import EXACT_GAMMA, gamma_upper_bound
 
 SCAN_STEP = 1e-3
 ALPHA_TOL = 1e-9
@@ -101,18 +101,15 @@ def resolve_gamma(ell, gamma_mode: str = "auto") -> float:
     and INFINITE labels; "upper" uses the proven bound for finite counts;
     "auto" picks exact where known, the upper bound otherwise."""
     ell = validate_ell(ell, minimum=1)
-    if not is_infinite(ell) and ell == 1:
+    if ell == 1:
         raise ValueError("no meaningful bound for one label: the ratio is 0")
     if gamma_mode not in ("auto", "exact", "upper"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    if gamma_mode == "upper":
-        return float(gamma_upper_bound(ell))
-    exactly_known = is_infinite(ell) or ell in (2, 3)
+    if gamma_mode != "upper" and ell in EXACT_GAMMA:
+        return float(EXACT_GAMMA[ell])
     if gamma_mode == "exact":
-        if not exactly_known:
-            raise ValueError(f"no exact ratio known for ell={ell}; use gamma_mode='upper'")
-        return float(gamma_exact(ell))
-    return float(gamma_exact(ell)) if exactly_known else float(gamma_upper_bound(ell))
+        raise ValueError(f"no exact ratio known for ell={ell}; use gamma_mode='upper'")
+    return float(gamma_upper_bound(ell))
 
 
 def clique_lhs(alpha: float, m: float, delta: float, gamma: float) -> float:
@@ -127,10 +124,8 @@ def clique_alpha_upper(query: CliqueBoundQuery, gamma_mode: str = "auto") -> flo
     """Clique-size exponent bound: 4 delta/3 for two labels with delta in
     [1, 6/5]; otherwise 1 + sqrt(1 - (2-delta)^2 / (4 gamma))."""
     ell, delta = query.ell, query.delta
-    if not is_infinite(ell) and ell == 1:
-        raise ValueError("no meaningful bound for one label (ratio 0 empties the radicand)")
     gamma = resolve_gamma(ell, gamma_mode)
-    if not is_infinite(ell) and ell == 2 and delta <= 1.2:
+    if ell == 2 and delta <= 1.2:
         return 4 * delta / 3
     return 1 + math.sqrt(1 - (2 - delta) ** 2 / (4 * gamma))
 
@@ -229,9 +224,9 @@ def _descending_root(evaluate, upper: float):
                 return _bisect_root(evaluate, lo, hi)
         raise RootDiagnostic("no sign change found while expanding above the trivial bound")
 
-    prev_alpha = None
-    prev_val = None
-    for a in np.arange(upper, 1.0, -SCAN_STEP).tolist():
+    # the grid starts at upper, whose value v_up is already known
+    prev_alpha, prev_val = (upper, v_up) if math.isfinite(v_up) else (None, None)
+    for a in np.arange(upper, 1.0, -SCAN_STEP).tolist()[1:]:
         v = evaluate(a)
         if not math.isfinite(v):
             prev_alpha, prev_val = None, None
@@ -249,25 +244,18 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     gamma = resolve_gamma(query.ell, gamma_mode)
     upper = trivial_dense_bound(eta)
 
-    def f2(a):
-        return float(_kernels.f2_values((a,), delta, gamma, eta)[0][0])
+    def branch(values, **kw):
+        # one branch value per alpha, through the kernel attribute
+        return lambda a: float(values((a,), delta, gamma, eta, **kw)[0])
 
-    alpha2, br2 = _descending_root(f2, upper)
+    alpha2, br2 = _descending_root(branch(_kernels.f2_values), upper)
     if alpha2 is None:
         raise RootDiagnostic("endpoint branch lost its root; this should be impossible")
-
-    def f1(a):
-        return float(_kernels.f1_values((a,), delta, gamma, eta)[0][0])
-
-    alpha1, br1 = _descending_root(f1, upper)
-
-    def f1_curve(a):
-        return float(_kernels.f1_values((a,), delta, gamma, eta, curve=True)[0][0])
-
+    alpha1, br1 = _descending_root(branch(_kernels.f1_values), upper)
     if alpha1 is not None:
         alpha1_curve = alpha1
     else:
-        alpha1_curve, _ = _descending_root(f1_curve, upper)
+        alpha1_curve, _ = _descending_root(branch(_kernels.f1_values, curve=True), upper)
         if alpha1_curve is None:
             alpha1_curve = math.inf
 

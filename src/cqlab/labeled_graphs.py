@@ -68,17 +68,13 @@ class EdgeLabeling:
         self.n = int(n_vertices)
         self.num_labels = num_labels
         m = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
-        seen = 0
         for (u, v), lab in labels.items():
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad pair ({u}, {v})")
-            if m[u, v] != 0:
-                raise ValueError(f"pair ({u}, {v}) labeled twice")
             m[u, v] = m[v, u] = int(lab)
-            seen += 1
         npairs = self.n * (self.n - 1) // 2
-        if seen != npairs:
-            raise ValueError(f"expected {npairs} labeled pairs, got {seen}")
+        if len(labels) != npairs:
+            raise ValueError(f"expected {npairs} labeled pairs, got {len(labels)}")
         flat = [int(m[u, v]) for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)]
         if is_infinite(num_labels):
             if sorted(flat) != list(range(1, npairs + 1)):
@@ -593,6 +589,8 @@ def labeling_from_text(text: str) -> EdgeLabeling:
         if len(parts) != 3:
             raise ValueError(f"bad labeling line {ln!r}")
         u, v, lab = int(parts[0]), int(parts[1]), int(parts[2])
+        if (u, v) in labels:
+            raise ValueError(f"pair ({u}, {v}) listed twice")
         labels[(u, v)] = lab
     return EdgeLabeling(n, ell, labels)
 

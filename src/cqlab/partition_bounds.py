@@ -56,16 +56,18 @@ def gamma_upper_bound(ell, conjectured_c2: bool = False) -> Fraction:
     return Fraction(1, 2) - Fraction(1, 2 * s)
 
 
+#: The exactly known critical-edge ratios: 0, 1/4, 3/8 for 1-3 labels and 1/2
+#: for the totally ordered case.
+EXACT_GAMMA = {1: Fraction(0), 2: Fraction(1, 4), 3: Fraction(3, 8), INFINITE: Fraction(1, 2)}
+
+
 def gamma_exact(ell) -> Fraction:
-    """Exactly known critical-edge ratios: 0, 1/4, 3/8 for 1-3 labels and 1/2
-    for the totally ordered case. Raises for other label counts."""
+    """The exactly known critical-edge ratio (EXACT_GAMMA). Raises for other
+    label counts."""
     ell = validate_ell(ell, minimum=1)
-    if is_infinite(ell):
-        return Fraction(1, 2)
-    known = {1: Fraction(0), 2: Fraction(1, 4), 3: Fraction(3, 8)}
-    if ell not in known:
+    if ell not in EXACT_GAMMA:
         raise ValueError(f"no exact ratio is known for {ell} labels; use the upper bound")
-    return known[ell]
+    return EXACT_GAMMA[ell]
 
 
 @dataclass(frozen=True)

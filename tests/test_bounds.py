@@ -96,8 +96,27 @@ class TestCliqueAlphaUpper:
         assert abs(clique_alpha_upper(q) - left) < 1e-12
 
     def test_rejects_one_label(self):
-        with pytest.raises(ValueError):
-            clique_alpha_upper(CliqueBoundQuery(delta=1.0, ell=1))
+        for mode in ("auto", "exact", "upper"):
+            with pytest.raises(ValueError, match="one label: the ratio is 0"):
+                clique_alpha_upper(CliqueBoundQuery(delta=1.0, ell=1), mode)
+
+    @pytest.mark.parametrize("ell,exact,upper", [
+        (2, 0.25, 0.25),
+        (3, 0.375, 0.375),
+        (4, None, 7 / 16),
+        (7, None, 0.5 - 1 / 172),
+        (INFINITE, 0.5, 0.5),
+    ])
+    def test_resolve_gamma_modes(self, ell, exact, upper):
+        # 1/2 - 1/(2 S_ell) with S_ell = 3*2**(ell-2) - 2 ell + 4: S_4 = 8, S_7 = 86
+        assert resolve_gamma(ell, "upper") == upper
+        if exact is None:
+            assert resolve_gamma(ell, "auto") == upper
+            with pytest.raises(ValueError, match=f"no exact ratio known for ell={ell}; "
+                                                 "use gamma_mode='upper'"):
+                resolve_gamma(ell, "exact")
+        else:
+            assert resolve_gamma(ell, "auto") == resolve_gamma(ell, "exact") == exact
 
     def test_gamma_modes(self):
         q = CliqueBoundQuery(delta=1.0, ell=4)

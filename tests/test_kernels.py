@@ -259,25 +259,26 @@ class TestDenseEvalParity:
         with np.errstate(divide="ignore", invalid="ignore"):
             h = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
         f = np.where(p <= 0.5 + 1e-12, np.inf, den * (1 - h) - alphas + (2 - delta) * m)
-        f2, p2 = K.f2_values(alphas, delta, gamma, eta)
+        p2 = np.array([K._p_val(a / 2, a, gamma, eta) for a in alphas])
         assert np.allclose(p2, p, rtol=0, atol=1e-12)
+        f2 = K.f2_values(alphas, delta, gamma, eta)
+        assert f2.shape == alphas.shape
         finite = np.isfinite(f)
         assert np.array_equal(finite, np.isfinite(f2))
         assert np.allclose(f2[finite], f[finite], rtol=0, atol=1e-12)
         # one batched F1 call equals one call per alpha, on both branches
         for curve in (False, True):
             batch = K.f1_values(alphas, delta, gamma, eta, curve=curve)
-            single = [K.f1_values(np.array([a]), delta, gamma, eta, curve=curve)
-                      for a in alphas]
-            for k in range(3):
-                col = np.array([out[k][0] for out in single])
-                assert np.array_equal(batch[k], col, equal_nan=True)
+            single = np.array([K.f1_values(np.array([a]), delta, gamma, eta, curve=curve)[0]
+                               for a in alphas])
+            assert batch.shape == alphas.shape
+            assert np.array_equal(batch, single)
 
     def test_curve_extends_where_definitional_is_inf(self):
         # two labels past the stationary threshold: curve finite, branch inf
         alphas = np.array([2.2836])
-        f_def, m_def, _ = K.f1_values(alphas, 1.0, 0.25, 0.937)
-        f_cur, m_cur, _ = K.f1_values(alphas, 1.0, 0.25, 0.937, curve=True)
+        f_def = K.f1_values(alphas, 1.0, 0.25, 0.937)
+        f_cur = K.f1_values(alphas, 1.0, 0.25, 0.937, curve=True)
         assert not np.isfinite(f_def[0])
         assert np.isfinite(f_cur[0])
 

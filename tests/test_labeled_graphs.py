@@ -717,6 +717,38 @@ class TestConstructionsPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[(kind, n)]
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("labels,message", [
+        ({(2, 1): 1, (1, 3): 1, (2, 3): 1}, r"bad pair \(2, 1\)"),
+        ({(1, 2): 1, (1, 4): 1, (2, 3): 1}, r"bad pair \(1, 4\)"),
+        ({(1, 2): 1, (1, 3): 3, (2, 3): 0}, r"labels out of 1\.\.2: \[0, 3\]"),
+    ])
+    def test_labeling_rejects(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            EdgeLabeling(3, 2, labels)
+
+    def test_infinite_ranks_must_permute(self):
+        with pytest.raises(ValueError, match="permutation of 1..C"):
+            EdgeLabeling(3, INFINITE, {(1, 2): 1, (1, 3): 1, (2, 3): 3})
+
+    def test_labeling_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            EdgeLabeling(1, 2, {})
+
+    def test_matching_rejects_loop(self):
+        with pytest.raises(ValueError, match=r"loop edge \(3, 3\)"):
+            Matching(((1, 2), (3, 3)))
+
+    def test_matching_rejects_shared_vertex(self):
+        with pytest.raises(ValueError, match="vertex-disjoint"):
+            Matching(((1, 2), (2, 3)))
+
+    def test_brute_cap_must_be_integer(self, monkeypatch):
+        monkeypatch.setenv("CQLAB_BRUTE_CAP", "ten")
+        with pytest.raises(ValueError, match="CQLAB_BRUTE_CAP must be an integer, got 'ten'"):
+            min_critical_matching_bruteforce(EdgeLabeling.constant(4), 2)
+
+
 class TestSerialization:
     def test_labeling_roundtrip(self):
         for lab in (
@@ -740,6 +772,11 @@ class TestSerialization:
             labeling_from_text("")
         with pytest.raises(ValueError):
             labeling_from_text("4 2\n1 2 1\n")  # incomplete
+
+    def test_rejects_repeated_pair(self):
+        # complete without its last line, which would relabel (1, 2)
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) listed twice"):
+            labeling_from_text("3 2\n1 2 1\n1 3 2\n2 3 1\n1 2 2\n")
 
     def test_lex_rank_closed_form(self):
         n = 7

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqlab.common import INFINITE
+from cqlab.common import INFINITE, as_fraction, validate_ell
 from cqlab.labeled_graphs import (
     FOUR_LABEL,
     LEX_INFINITE,
@@ -93,6 +93,20 @@ class TestGammaUpperBound:
         assert gamma_exact(INFINITE) == Fraction(1, 2)
         with pytest.raises(ValueError):
             gamma_exact(4)
+
+
+class TestExactInputs:
+    def test_as_fraction_rejects_none(self):
+        with pytest.raises(ValueError, match="cannot interpret None as an exact rational"):
+            as_fraction(None)
+        with pytest.raises(ValueError, match="exact rational"):
+            optimal_partition((1, 1), None)
+
+    def test_validate_ell_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="must be an integer or INFINITE, got 2.5"):
+            validate_ell(2.5)
+        with pytest.raises(ValueError, match="integer or INFINITE"):
+            gamma_exact(2.5)
 
 
 class TestOptimalPartition:

@@ -7,6 +7,7 @@ from cqlab.bounds import CliqueBoundQuery, clique_alpha_upper
 from cqlab.errors import AdaptivityViolation, BudgetExceeded
 from cqlab.simulator import (
     BatchedGreedyStrategy,
+    RoundContext,
     amplify,
     batched_block_runner,
     greedy_block_runner,
@@ -76,6 +77,12 @@ class TestGreedy:
         res = greedy_clique(g, 1)
         assert len(res.vertices) <= 2
         assert res.is_clique
+
+    def test_budget_zero_rejected(self):
+        g = new_instance(64, 3)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            greedy_clique(g, 0)
+        assert g.queries_used == 0
 
     def test_always_verified(self):
         for seed in range(5):
@@ -191,6 +198,16 @@ class TestRunLAdaptive:
         g = new_instance(16, 2)
         with pytest.raises(BudgetExceeded, match="verification pushed"):
             run_l_adaptive(g, _FixedBatchStrategy([(0, 1), (2, 3)]), 2.0, 1, budget=2)
+
+    def test_needs_a_round(self):
+        g = new_instance(16, 2)
+        with pytest.raises(ValueError, match="need at least one round"):
+            run_l_adaptive(g, _FixedBatchStrategy([(0, 1)]), 2.0, 0)
+        assert g.queries_used == 0
+
+    def test_unqueried_pair_has_no_answer(self):
+        with pytest.raises(KeyError, match=r"pair \(1, 4\) has not been queried"):
+            RoundContext().answered(4, 1)
 
     def test_zero_query_round_consumes_round(self):
         g = new_instance(16, 2)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _kernels
-from .common import check_brute_cap
+from .common import check_brute_cap, int_fields
 from .errors import CyclePresent
 
 DEFAULT_BETA_PAIR_CAP = 12  # candidate blue pairs; 2x(x-1) <= 12 means x <= 3
@@ -201,6 +201,9 @@ def redblue_from_text(text: str) -> RedBlueGraph:
     x = int(lines[0])
     blue = set()
     for ln in lines[1:]:
-        u, v = (int(t) for t in ln.split())
-        blue.add((u, v))
+        u, v = int_fields(ln, 2, "red/blue")
+        edge = (min(u, v), max(u, v))
+        if edge in blue:
+            raise ValueError(f"blue edge ({u}, {v}) listed twice")
+        blue.add(edge)
     return RedBlueGraph(num_red=x, blue_edges=frozenset(blue))

@@ -1,5 +1,5 @@
-"""Shared bits: the infinite-label sentinel, the brute-force guard, output
-formatting."""
+"""Shared bits: the infinite-label sentinel, the brute-force guard, text
+line parsing, output formatting."""
 from __future__ import annotations
 
 import math
@@ -36,6 +36,18 @@ def parse_ell(text: str):
     if t in ("inf", "infinity", "infinite", "oo"):
         return INFINITE
     return int(t)
+
+
+def int_fields(line: str, count: int, what: str) -> list[int]:
+    """The `count` integers of one input line; any other line raises
+    ValueError("bad <what> line '...'")."""
+    try:
+        values = [int(t) for t in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ValueError(f"bad {what} line {line!r}")
+    return values
 
 
 def ell_text(ell) -> str:

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .common import INFINITE, as_fraction, check_brute_cap, ell_text, is_infinite, parse_ell
+from .common import (INFINITE, as_fraction, check_brute_cap, ell_text, int_fields,
+                     is_infinite, parse_ell)
 from .partition_bounds import default_epsilon, epsilon_check
 
 TWO_LABEL = "two"
@@ -585,10 +586,7 @@ def labeling_from_text(text: str) -> EdgeLabeling:
     ell = parse_ell(head[1])
     labels = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad labeling line {ln!r}")
-        u, v, lab = int(parts[0]), int(parts[1]), int(parts[2])
+        u, v, lab = int_fields(ln, 3, "labeling")
         if (u, v) in labels:
             raise ValueError(f"pair ({u}, {v}) listed twice")
         labels[(u, v)] = lab
@@ -604,6 +602,5 @@ def matching_from_text(text: str) -> Matching:
     for ln in text.splitlines():
         if not ln.strip():
             continue
-        u, v = (int(x) for x in ln.split())
-        edges.append((u, v))
+        edges.append(tuple(int_fields(ln, 2, "matching")))
     return Matching(tuple(edges))

@@ -9,6 +9,7 @@ materialize the full adjacency matrix.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -96,16 +97,28 @@ def query_budget(n: int, delta: float) -> int:
     return math.floor(n**delta)
 
 
-def _verify_subgraph(g: RevealedGraph, vertices) -> tuple[bool, Fraction]:
-    vs = sorted(vertices)
-    k = len(vs)
-    if k < 2:
-        return True, Fraction(1)
-    present = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            present += g.query(vs[i], vs[j])
-    return present == math.comb(k, 2), Fraction(present, math.comb(k, 2))
+def _verified_result(g: RevealedGraph, vertices, budget: int, start: int,
+                     rounds_before: int, meta: dict) -> RunResult:
+    """Verify and report a run that began at query count `start` and round
+    `rounds_before`: re-query every pair of `vertices` against `budget`, and
+    raise BudgetExceeded if that passes it."""
+    vs = tuple(sorted(set(vertices)))
+    present = sum(g.query(u, v) for u, v in itertools.combinations(vs, 2))
+    pairs = math.comb(len(vs), 2)
+    used = g.queries_used - start
+    if used > budget:
+        raise BudgetExceeded(
+            f"budget exceeded: verification pushed the run to {used} > {budget} queries"
+        )
+    return RunResult(
+        vertices=vs,
+        is_clique=present == pairs,
+        density=Fraction(present, pairs) if pairs else Fraction(1),
+        queries_used=used,
+        rounds_used=g.rounds_closed - rounds_before,
+        budget=budget,
+        meta=meta,
+    )
 
 
 def greedy_clique(g: RevealedGraph, budget: int, vertices=None, scan_seed=None) -> RunResult:
@@ -127,24 +140,13 @@ def greedy_clique(g: RevealedGraph, budget: int, vertices=None, scan_seed=None) 
         # worst case: test against k members, then verify C(k+1, 2) pairs
         if used + k + math.comb(k + 1, 2) > budget:
             break
-        ok = True
         for member in clique:
             if not g.query(cand, member):
-                ok = False
                 break
-        if ok:
+        else:
             clique.append(cand)
         g.close_round()
-    is_clique, density = _verify_subgraph(g, clique)
-    return RunResult(
-        vertices=tuple(sorted(clique)),
-        is_clique=is_clique,
-        density=density,
-        queries_used=g.queries_used - start,
-        rounds_used=g.rounds_closed - rounds_before,
-        budget=budget,
-        meta={"strategy": "greedy"},
-    )
+    return _verified_result(g, clique, budget, start, rounds_before, {"strategy": "greedy"})
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,8 @@ def run_l_adaptive(
 ) -> RunResult:
     """Run an ell-round strategy under budget floor(n**delta) (or an explicit
     budget, used by block-wise amplification). The final verification
-    re-queries count against the budget too.
+    re-queries count against the budget too; a batch or a verification that
+    passes it raises BudgetExceeded. `rounds_used` is ell.
 
     A strategy supplies `round_queries(rnd, answers, ctx)` returning the
     round's batch (computable from earlier rounds only: the harness withholds
@@ -196,6 +199,7 @@ def run_l_adaptive(
         budget = query_budget(g.n, delta)
     ctx = RoundContext()
     start = g.queries_used
+    rounds_before = g.rounds_closed
     for rnd in range(ell):
         batch = strategy.round_queries(rnd, ctx.known(), ctx)
         for u, v in batch:
@@ -208,21 +212,9 @@ def run_l_adaptive(
         ctx._answers.update(ctx._pending)
         ctx._pending.clear()
         g.close_round()
-    chosen = tuple(sorted(set(strategy.result(ctx.known(), ctx))))
-    is_clique, density = _verify_subgraph(g, chosen)
-    used = g.queries_used - start
-    if used > budget:
-        raise BudgetExceeded(
-            f"budget exceeded: verification pushed the run to {used} > {budget} queries"
-        )
-    return RunResult(
-        vertices=chosen,
-        is_clique=is_clique,
-        density=density,
-        queries_used=used,
-        rounds_used=ell,
-        budget=budget,
-        meta={"strategy": type(strategy).__name__},
+    chosen = strategy.result(ctx.known(), ctx)
+    return _verified_result(
+        g, chosen, budget, start, rounds_before, {"strategy": type(strategy).__name__}
     )
 
 
@@ -253,7 +245,9 @@ class BatchedGreedyStrategy:
     """Round-limited greedy: round 0 reveals a seed pool completely and takes
     its maximum clique; each later round batch-tests a shortlist against the
     current clique (plus shortlist-internal pairs) and extends by the best
-    compatible clique. Unbounded computation, bounded queries."""
+    compatible clique. Unbounded computation, bounded queries: the rounds may
+    spend the whole budget, so `result` returns the longest prefix of the
+    clique (itself a clique) whose C(k, 2) verification queries fit the rest."""
 
     def __init__(self, n: int, seed: int, budget: int, ell: int, vertices=None):
         self.budget = budget
@@ -265,11 +259,7 @@ class BatchedGreedyStrategy:
         self.cursor = 0
         self.clique: list[int] = []
         self.spent = 0
-        self._round_pairs: list[tuple[int, int]] = []
         self._round_cands: list[int] = []
-
-    def _per_round(self) -> int:
-        return max(1, self.budget // max(1, self.ell))
 
     def _absorb(self, answers):
         # extend the clique using everything known so far
@@ -292,8 +282,7 @@ class BatchedGreedyStrategy:
 
     def round_queries(self, rnd, answers, ctx):
         self._absorb(answers)
-        room = min(self._per_round(), self.budget - self.spent)
-        batch: list[tuple[int, int]] = []
+        room = min(max(1, self.budget // max(1, self.ell)), self.budget - self.spent)
         if rnd == 0:
             # seed pool: reveal all internal pairs of s vertices, C(s,2) <= room
             s = max(2, (1 + math.isqrt(1 + 8 * room)) // 2)
@@ -301,11 +290,7 @@ class BatchedGreedyStrategy:
             pool = self.order[: s]
             self.cursor = s
             self._round_cands = pool
-            batch = [
-                (pool[i], pool[j])
-                for i in range(len(pool))
-                for j in range(i + 1, len(pool))
-            ]
+            batch = list(itertools.combinations(pool, 2))
         else:
             k = max(1, len(self.clique))
             # shortlist size L: L*k + C(L,2) <= room
@@ -316,17 +301,17 @@ class BatchedGreedyStrategy:
             self.cursor += len(cands)
             self._round_cands = cands
             batch = [(c, m) for c in cands for m in self.clique]
-            batch += [
-                (cands[i], cands[j])
-                for i in range(len(cands))
-                for j in range(i + 1, len(cands))
-            ]
+            batch += itertools.combinations(cands, 2)
         self.spent += len(batch)
         return batch
 
     def result(self, answers, ctx):
         self._absorb(answers)
-        return list(self.clique)
+        room = self.budget - self.spent
+        k = len(self.clique)
+        while math.comb(k, 2) > room:
+            k -= 1
+        return self.clique[:k]
 
 
 def partition_blocks(n: int) -> list[list[int]]:
@@ -361,10 +346,8 @@ def amplify(block_runner, g: RevealedGraph, delta: float, ell: int) -> RunResult
         ):
             best = res
     assert best is not None
-    return RunResult(
-        vertices=best.vertices,
-        is_clique=best.is_clique,
-        density=best.density,
+    return replace(
+        best,
         queries_used=g.queries_used - start,
         rounds_used=rounds,
         budget=budget,

@@ -285,6 +285,26 @@ class TestRedBlueValidation:
         with pytest.raises(ValueError, match="loop"):
             RedBlueGraph(num_red=2, blue_edges=frozenset({(3, 3)}))
 
+    def test_needs_a_red_edge(self):
+        with pytest.raises(ValueError, match="need at least one red edge"):
+            RedBlueGraph(num_red=0)
+
+    def test_blue_count_needs_construction(self):
+        with pytest.raises(ValueError, match="not a construction graph"):
+            construction_blue_count(RedBlueGraph(num_red=2), False)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty red/blue graph file"),
+        ("2\n1 3\n1 3\n", r"blue edge \(1, 3\) listed twice"),
+        ("2\n1 3\n3 1\n", r"blue edge \(3, 1\) listed twice"),
+        ("2\n1 3 4\n", r"bad red/blue line '1 3 4'"),
+        ("2\n1\n", r"bad red/blue line '1'"),
+        ("2\n1 c\n", r"bad red/blue line '1 c'"),
+    ])
+    def test_text_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            redblue_from_text(text)
+
     def test_roundtrip(self):
         g = build_odd_k(5, 7)
         g2 = redblue_from_text(redblue_to_text(g))

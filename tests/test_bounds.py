@@ -156,6 +156,17 @@ class TestCorollary:
         with pytest.raises(ValueError):
             corollary_alpha(1.0, 2)
 
+    @pytest.mark.parametrize("delta", [0.5, 2.5])
+    def test_rejects_delta_outside_range(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \[1, 2\]"):
+            corollary_alpha(delta, 3)
+        with pytest.raises(ValueError, match=r"delta must lie in \[1, 2\]"):
+            CliqueBoundQuery(delta=delta, ell=3)
+
+    def test_rejects_unknown_gamma_mode(self):
+        with pytest.raises(ValueError, match="unknown gamma_mode 'bogus'"):
+            resolve_gamma(3, "bogus")
+
 
 class TestDenseF:
     def test_eta_one_reduces_to_clique(self):
@@ -168,6 +179,11 @@ class TestDenseF:
         alpha, eta = 2.5, 0.9
         expect = alpha**2 / 2 * (1 - binary_entropy(eta)) - alpha
         assert abs(dense_f(0.0, alpha, 1.0, 0.5, eta) - expect) < 1e-12
+
+    @pytest.mark.parametrize("m", [-0.1, 1.3])
+    def test_rejects_m_outside_range(self, m):
+        with pytest.raises(ValueError, match=r"m must lie in \[0, alpha/2\]"):
+            dense_f(m, 2.5, 1.0, 0.5, 0.9)
 
     def test_fprime_at_zero(self):
         for delta in (1.0, 1.3, 2.0):

@@ -5,7 +5,7 @@ import pytest
 
 from cqlab import alternating, bounds
 from cqlab.cli import main
-from cqlab.common import INFINITE
+from cqlab.common import INFINITE, fmt_float
 from cqlab.labeled_graphs import (
     LEX_INFINITE,
     TWO_LABEL,
@@ -50,6 +50,10 @@ class TestGolden:
 
 
 class TestThinAdapter:
+    def test_fmt_float_infinities(self):
+        assert fmt_float(-math.inf) == "-inf"
+        assert fmt_float(math.inf) == "inf"
+
     def test_clique_equals_library(self, capsys):
         code, out, _ = run(capsys, "bounds", "clique", "--delta", "1.4", "--ell", "inf")
         lib = bounds.clique_alpha_upper(bounds.CliqueBoundQuery(delta=1.4, ell=INFINITE))
@@ -65,6 +69,13 @@ class TestThinAdapter:
         assert payload["alpha2"] == sol.alpha2
         assert payload["m1"] == sol.m1
         assert payload["case"] == sol.case
+
+    def test_dense_plain_prints_alpha0(self, capsys):
+        code, out, _ = run(capsys, "bounds", "dense", "--delta", "1", "--ell", "2",
+                           "--eta", "0.93", "--output", "plain")
+        sol = bounds.dense_alpha_upper(bounds.DenseBoundQuery(delta=1.0, ell=2, eta=0.93))
+        assert code == 0
+        assert out == f"{sol.alpha0:.9f}\n"
 
     def test_gamma_verify_matches_bruteforce(self, capsys):
         code, out, _ = run(capsys, "gamma", "verify", "--construction", "two",
@@ -98,6 +109,14 @@ class TestThinAdapter:
         assert payload["bound"] == "1/2"
         assert payload["bound_float"] == 0.5
 
+    def test_gamma_upper_conjectured_json(self, capsys):
+        code, out, _ = run(capsys, "gamma", "upper", "--ell", "4", "--conjectured-c2",
+                           "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["conjectured"] is True
+        assert payload["bound"] == "3/7"
+
 
 class TestTableL2:
     def test_plain_table(self, capsys):
@@ -115,6 +134,15 @@ class TestTableL2:
         lines = out.strip().splitlines()
         assert lines[0] == "eta,alpha1,alpha2"
         assert len(lines) == 9
+
+    def test_json_table(self, capsys):
+        code, out, _ = run(capsys, "bounds", "table-l2", "--output", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows == json.loads(json.dumps(bounds.table_l2_rows()))
+        assert len(rows) == 8
+        assert sorted(rows[0]) == ["alpha1", "alpha2", "eta"]
+        assert f"{rows[0]['alpha1']:.6f}" == "2.411634"
 
 
 class TestSweep:
@@ -230,6 +258,12 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "clique", "--delta", "1", "--bogus-flag"])
         assert exc.value.code == 2
+
+    def test_bad_ell_token_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "clique", "--delta", "1", "--ell", "abc"])
+        assert exc.value.code == 2
+        assert "argument --ell" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", [["clique"], ["dense", "--eta", "0.95"]])
     def test_csv_output_refused_where_not_printed(self, capsys, cmd):

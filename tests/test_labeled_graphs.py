@@ -743,6 +743,56 @@ class TestRefusals:
         with pytest.raises(ValueError, match="vertex-disjoint"):
             Matching(((1, 2), (2, 3)))
 
+    def test_lex_rank_rejects_bad_pair(self):
+        with pytest.raises(ValueError, match=r"need 1 <= u < v <= 4, got \(3, 2\)"):
+            lex_rank(3, 2, 4)
+
+    def test_labeling_needs_a_label(self):
+        with pytest.raises(ValueError, match="num_labels must be a positive int or INFINITE"):
+            EdgeLabeling(2, 0, {(1, 2): 1})
+
+    def test_label_rejects_bad_pair(self):
+        with pytest.raises(ValueError, match=r"bad pair \(2, 2\)"):
+            EdgeLabeling.constant(4).label(2, 2)
+
+    @pytest.mark.parametrize("edges,message", [
+        ((), "matching must be non-empty"),
+        (((1, 2), (3, 4), (5, 6)), "matching too large for the vertex count"),
+        (((1, 5),), r"matching edge \(1, 5\) outside 1\.\.4"),
+    ])
+    def test_matching_must_fit_labeling(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            count_critical(EdgeLabeling.constant(4), Matching(edges))
+
+    @pytest.mark.parametrize("e,message", [
+        ((3, 3), "endpoints coincide"),
+        ((2, 1), "matching edges have no partner edge"),
+    ])
+    def test_m_pair_rejects(self, e, message):
+        with pytest.raises(ValueError, match=message):
+            m_pair(Matching(((1, 2), (3, 4))), e)
+
+    def test_label_weight_rejects(self):
+        with pytest.raises(ValueError, match=r"label 0 outside 1\.\.$"):
+            label_weight(0, Fraction(1, 4), INFINITE)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            label_weight(2, 0, 3)
+
+    @pytest.mark.parametrize("search", [
+        min_critical_matching_bruteforce, anti_lex_min_matching, switch_local_search,
+    ])
+    def test_size_without_matchings(self, search):
+        with pytest.raises(ValueError, match="no matchings of size 3 in K_4"):
+            search(EdgeLabeling.lexicographic(4), 3)
+
+    def test_construction_rejects(self):
+        with pytest.raises(ValueError, match="unknown construction kind 'five'"):
+            construction_blocks("five", 8)
+        with pytest.raises(ValueError, match="need at least 2 vertices"):
+            construction_blocks(LEX_INFINITE, 1)
+        with pytest.raises(ValueError, match="unknown construction kind 'five'"):
+            construction_min_ratio_analytic("five")
+
     def test_brute_cap_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("CQLAB_BRUTE_CAP", "ten")
         with pytest.raises(ValueError, match="CQLAB_BRUTE_CAP must be an integer, got 'ten'"):
@@ -772,6 +822,24 @@ class TestSerialization:
             labeling_from_text("")
         with pytest.raises(ValueError):
             labeling_from_text("4 2\n1 2 1\n")  # incomplete
+
+    @pytest.mark.parametrize("text,message", [
+        ("4\n", r"bad header '4', expected 'N ell'"),
+        ("3 2\n1 2\n", r"bad labeling line '1 2'"),
+        ("3 2\n1 2 x\n", r"bad labeling line '1 2 x'"),
+    ])
+    def test_rejects_bad_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            labeling_from_text(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 3\n", r"bad matching line '1 2 3'"),
+        ("1 2\n3\n", r"bad matching line '3'"),
+        ("1 b\n", r"bad matching line '1 b'"),
+    ])
+    def test_matching_rejects_bad_lines(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            matching_from_text(text)
 
     def test_rejects_repeated_pair(self):
         # complete without its last line, which would relabel (1, 2)

@@ -102,11 +102,34 @@ class TestExactInputs:
         with pytest.raises(ValueError, match="exact rational"):
             optimal_partition((1, 1), None)
 
+    def test_as_fraction_takes_float_exactly(self):
+        assert as_fraction(0.125) == Fraction(1, 8)
+
     def test_validate_ell_rejects_non_integer(self):
         with pytest.raises(ValueError, match="must be an integer or INFINITE, got 2.5"):
             validate_ell(2.5)
         with pytest.raises(ValueError, match="integer or INFINITE"):
             gamma_exact(2.5)
+
+
+class TestRefusals:
+    def test_c_vector_needs_finite_labels(self):
+        with pytest.raises(ValueError, match="finite label counts only"):
+            c_vector(INFINITE)
+
+    def test_upper_bound_needs_two_labels(self):
+        with pytest.raises(ValueError, match=r"at least 2 labels \(gamma\(1\) = 0\)"):
+            gamma_upper_bound(1)
+
+    def test_partition_needs_positive_m(self):
+        with pytest.raises(ValueError, match="M must be positive"):
+            optimal_partition((1, 1), 0)
+
+    def test_epsilon_check_rejects(self):
+        with pytest.raises(ValueError, match="applies to finite label counts"):
+            epsilon_check(INFINITE, Fraction(1, 64))
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            epsilon_check(3, 0)
 
 
 class TestOptimalPartition:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -231,6 +233,21 @@ class TestRunLAdaptive:
         assert res.queries_used <= res.budget
         assert len(res.vertices) >= 3
 
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_batched_greedy_answers_within_budget(self, n, ell):
+        # the rounds may spend the whole budget; the answer is then the
+        # longest clique prefix whose verification still fits (at n = 256,
+        # ell = 2, seed 0 the whole clique would need 261 > 256 queries)
+        for seed in range(20):
+            g = new_instance(n, seed)
+            strat = BatchedGreedyStrategy(n, seed=seed, budget=query_budget(n, 1.0), ell=ell)
+            res = run_l_adaptive(g, strat, 1.0, ell)
+            assert res.is_clique and res.density == 1
+            assert res.queries_used == len(g.query_log) <= res.budget
+            assert res.rounds_used == ell
+            assert list(res.vertices) == sorted(strat.clique[: len(res.vertices)])
+
     def test_batched_greedy_soft_bound_check(self):
         # soft sanity vs. theory: logged, never fatally asserted
         n = 2**14
@@ -324,6 +341,15 @@ class TestAmplify:
             best = max(best, len(max_clique_bruteforce(block, adj)))
         assert len(amp.vertices) == best
 
+    def test_amplified_batched_answers_within_budget(self):
+        # every block's rounds spend its share; verifying a whole block
+        # clique would push that block to 1176 > 1170 queries
+        g = new_instance(16384, 91165289)
+        amp = amplify(batched_block_runner, g, 1.0, 3)
+        assert amp.is_clique and len(amp.vertices) >= 2
+        assert amp.queries_used == len(g.query_log) <= 16384
+        assert amp.rounds_used == 3
+
     def test_determinism(self):
         a1 = amplify(greedy_block_runner, new_instance(512, 6), 1.0, 1)
         a2 = amplify(greedy_block_runner, new_instance(512, 6), 1.0, 1)
@@ -341,3 +367,42 @@ class TestRunResultJson:
         assert d["density"] == 1.0
         assert d["density_exact"] == "1/1"
         assert d["queries_used"] == res.queries_used
+
+
+def _run_digest(kind, n, seed, delta, ell):
+    g = new_instance(n, seed)
+    if kind == "greedy":
+        res = greedy_clique(g, query_budget(n, delta))
+    elif kind == "batched":
+        strat = BatchedGreedyStrategy(n, seed=seed, budget=query_budget(n, delta), ell=ell)
+        res = run_l_adaptive(g, strat, delta, ell)
+    elif kind == "amp_greedy":
+        res = amplify(greedy_block_runner, g, delta, 1)
+    else:
+        res = amplify(batched_block_runner, g, delta, ell)
+    text = "\n".join(g.transcript_lines()) + "\n" + json.dumps(res.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the transcript plus the JSON result of runs that fit their
+# budget with the whole answer: any change to the query order, the
+# verification or the result fields shows here
+PINNED_RUNS = [
+    ("greedy", 256, 0, 1.5, 1, "9cedd1d64cd148a2fb50ac05eb6d0da23e9741990344875794e3c9ce065a35ef"),
+    ("greedy", 1024, 9, 1.5, 1, "57fcc223f618aea886c6bd6fdfcba5fe96fdf5f7c9cc93e99325fed53f7b3c7f"),
+    ("greedy", 4096, 1000, 1.5, 1, "17bf8bf6d4564b5307cadb708ce3e50b1a49fb8a3371a39109a1d71d51d76a3b"),
+    ("greedy", 512, 11, 1.0, 1, "ccf8a7151fea1deb971826f7cfe96d7a5aa465750a0197778d8bcaec48bf4abf"),
+    ("batched", 512, 5, 1.0, 3, "d7c511035a706a7bea7f222a9ba5a37c0cf587e213683f6255aabecb087f6c68"),
+    ("batched", 1024, 3, 1.2, 2, "137028b5682d39c2088d8d4ee6e6d1477b7c1e2586b348e914416375bffae711"),
+    ("batched", 2048, 7, 1.0, 4, "58415d2f5ff603516e1a67e0b4914a0cbb2eedab34d2f2faddbc48c447f8a01f"),
+    ("batched", 16384, 0, 1.0, 3, "afb30c2acf50db02163f448470ecdb99f7a1084f95611f4935d1d0f8d1d8449e"),
+    ("amp_greedy", 1024, 8, 1.2, 1, "eab4fa3667729e2c8ef9443e549fe385677222c5ea6ee53ba21a9c9c12897668"),
+    ("amp_greedy", 512, 6, 1.0, 1, "faa5ee134cc67607e97f4677c3c589b703d6259af29535b6f2eb44a6edb61881"),
+    ("amp_batched", 64, 1, 2.0, 2, "a21d7061239e68025b1a56f042fb7f4493e9bafa88964f17a44e677cc167f4dd"),
+    ("amp_batched", 64, 7, 2.0, 3, "161dc4b3de9e5a435b46790167abc5a9371cf1737a5f4b1618bda411151da010"),
+]
+
+
+@pytest.mark.parametrize("kind,n,seed,delta,ell,expected", PINNED_RUNS)
+def test_pinned_transcripts(kind, n, seed, delta, ell, expected):
+    assert _run_digest(kind, n, seed, delta, ell) == expected

@@ -198,7 +198,7 @@ def redblue_from_text(text: str) -> RedBlueGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty red/blue graph file")
-    x = int(lines[0])
+    (x,) = int_fields(lines[0], 1, "red/blue header")
     blue = set()
     for ln in lines[1:]:
         u, v = int_fields(ln, 2, "red/blue")

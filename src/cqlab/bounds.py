@@ -2,9 +2,9 @@
 
 All logarithms are base 2. alpha values measure subgraph size in log2(n)
 units; delta is the query exponent; eta the target edge density. gamma is the
-critical-edge ratio: exact for 2, 3 and infinitely many labels, otherwise the
-proven upper bound (gamma_mode "auto" picks per label count, which is the
-default everywhere).
+critical-edge ratio, and the bounds use its proven upper bound
+1/2 - 1/(2 S_ell), which is the exact ratio for 2, 3 and infinitely many
+labels.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .common import ell_text, is_infinite, validate_ell
 from .errors import NoCrossing, POutOfRange, RootDiagnostic
-from .partition_bounds import EXACT_GAMMA, gamma_upper_bound
+from .partition_bounds import gamma_upper_bound
 
 SCAN_STEP = 1e-3
 ALPHA_TOL = 1e-9
@@ -96,19 +96,11 @@ def binary_entropy(p: float) -> float:
     return _kernels._entropy_val(p)
 
 
-def resolve_gamma(ell, gamma_mode: str = "auto") -> float:
-    """Critical-edge ratio used by the bounds. "exact" is available for 2, 3
-    and INFINITE labels; "upper" uses the proven bound for finite counts;
-    "auto" picks exact where known, the upper bound otherwise."""
-    ell = validate_ell(ell, minimum=1)
-    if ell == 1:
+def resolve_gamma(ell) -> float:
+    """Critical-edge ratio used by the bounds: the proven upper bound, exact
+    for 2, 3 and INFINITE labels."""
+    if validate_ell(ell, minimum=1) == 1:
         raise ValueError("no meaningful bound for one label: the ratio is 0")
-    if gamma_mode not in ("auto", "exact", "upper"):
-        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    if gamma_mode != "upper" and ell in EXACT_GAMMA:
-        return float(EXACT_GAMMA[ell])
-    if gamma_mode == "exact":
-        raise ValueError(f"no exact ratio known for ell={ell}; use gamma_mode='upper'")
     return float(gamma_upper_bound(ell))
 
 
@@ -120,11 +112,11 @@ def clique_lhs(alpha: float, m: float, delta: float, gamma: float) -> float:
     return alpha * alpha / 2 - alpha - 2 * gamma * m * m + (2 - delta) * m
 
 
-def clique_alpha_upper(query: CliqueBoundQuery, gamma_mode: str = "auto") -> float:
+def clique_alpha_upper(query: CliqueBoundQuery) -> float:
     """Clique-size exponent bound: 4 delta/3 for two labels with delta in
     [1, 6/5]; otherwise 1 + sqrt(1 - (2-delta)^2 / (4 gamma))."""
     ell, delta = query.ell, query.delta
-    gamma = resolve_gamma(ell, gamma_mode)
+    gamma = resolve_gamma(ell)
     if ell == 2 and delta <= 1.2:
         return 4 * delta / 3
     return 1 + math.sqrt(1 - (2 - delta) ** 2 / (4 * gamma))
@@ -237,11 +229,11 @@ def _descending_root(evaluate, upper: float):
     return None, None
 
 
-def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> DenseSolution:
+def dense_alpha_upper(query: DenseBoundQuery) -> DenseSolution:
     """Implicit dense bound: alpha1 from the stationary branch (m = m1(alpha)),
     alpha2 from the endpoint branch (m = alpha/2), alpha0 = min."""
     delta, eta = query.delta, query.eta
-    gamma = resolve_gamma(query.ell, gamma_mode)
+    gamma = resolve_gamma(query.ell)
     upper = trivial_dense_bound(eta)
 
     def branch(values, **kw):
@@ -286,12 +278,10 @@ def dense_alpha_upper(query: DenseBoundQuery, gamma_mode: str = "auto") -> Dense
     )
 
 
-def alpha2_closed_form(ell, eta: float, delta: float = 1.0) -> float:
+def alpha2_closed_form(ell, eta: float) -> float:
     """Endpoint-branch closed forms at delta = 1: 2/(1-H(2 eta - 1)) for
     INFINITE, 8/(5(1-H((8 eta - 3)/5))) for 3 labels, and
     4/(3(1-H((4 eta - 1)/3))) for 2 labels."""
-    if delta != 1.0:
-        raise ValueError("closed forms are stated for delta = 1")
     if is_infinite(ell):
         arg = 2 * eta - 1
         scale = 2.0
@@ -336,7 +326,7 @@ def density_threshold(delta: float, ell, target_alpha: float) -> float:
 
 
 def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
-               gamma_mode: str = "auto", append_eta1: bool = True):
+               append_eta1: bool = True):
     """Table rows for the figure data: one row per (eta, ell), eta ascending,
     with the clique closed form appended at eta = 1 when requested.
 
@@ -357,9 +347,9 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     rows = []
     for eta in etas:
         for ell in ells:
-            sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=eta), gamma_mode)
+            sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=eta))
             if append_eta1 and eta == 1.0:
-                alpha0 = clique_alpha_upper(CliqueBoundQuery(delta=delta, ell=ell), gamma_mode)
+                alpha0 = clique_alpha_upper(CliqueBoundQuery(delta=delta, ell=ell))
             else:
                 alpha0 = sol.alpha0
             rows.append(

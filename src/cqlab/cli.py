@@ -36,14 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("clique", help="closed-form clique bound")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--ell", type=_ell_arg, required=True)
-    p.add_argument("--gamma-mode", choices=["auto", "exact", "upper"], default="auto")
     add_output(p)
 
     p = bsub.add_parser("dense", help="implicit dense-subgraph bound")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--ell", type=_ell_arg, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--gamma-mode", choices=["auto", "exact", "upper"], default="auto")
     add_output(p)
 
     p = bsub.add_parser("sweep", help="figure data over an eta range (CSV)")
@@ -53,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", type=str, default=None, help="CSV file (default stdout)")
-    p.add_argument("--gamma-mode", choices=["auto", "exact", "upper"], default="auto")
     p.add_argument("--no-eta1", action="store_true", help="skip the appended eta=1 row")
 
     p = bsub.add_parser("table-l2", help="the eight-column eta/alpha1/alpha2 table")
@@ -155,26 +152,24 @@ def _csv_text(rows) -> str:
 def _cmd_bounds(args) -> int:
     if args.cmd == "clique":
         q = bounds.CliqueBoundQuery(delta=args.delta, ell=args.ell)
-        val = bounds.clique_alpha_upper(q, args.gamma_mode)
+        val = bounds.clique_alpha_upper(q)
         _emit(args, fmt_float(val), {
             "alpha_upper": val,
             "delta": args.delta,
             "ell": "inf" if is_infinite(args.ell) else args.ell,
-            "gamma": bounds.resolve_gamma(args.ell, args.gamma_mode),
+            "gamma": bounds.resolve_gamma(args.ell),
         })
     elif args.cmd == "dense":
         q = bounds.DenseBoundQuery(delta=args.delta, ell=args.ell, eta=args.eta)
-        sol = bounds.dense_alpha_upper(q, args.gamma_mode)
+        sol = bounds.dense_alpha_upper(q)
         if (getattr(args, "output", None) or "json") == "plain":
             print(fmt_float(sol.alpha0))
         else:
             print(json.dumps(sol.to_json_dict(), sort_keys=True))
     elif args.cmd == "sweep":
         ells = [parse_ell(t) for t in args.ells.split(",") if t.strip()]
-        rows = bounds.sweep_rows(
-            args.delta, ells, args.eta_from, args.eta_to, args.step,
-            gamma_mode=args.gamma_mode, append_eta1=not args.no_eta1,
-        )
+        rows = bounds.sweep_rows(args.delta, ells, args.eta_from, args.eta_to, args.step,
+                                 append_eta1=not args.no_eta1)
         text = _csv_text(rows)
         if args.out:
             with open(args.out, "w") as fh:

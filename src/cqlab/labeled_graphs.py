@@ -579,11 +579,11 @@ def labeling_from_text(text: str) -> EdgeLabeling:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty labeling file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'N ell'")
-    n = int(head[0])
-    ell = parse_ell(head[1])
+    try:
+        n_field, ell_field = lines[0].split()
+        n, ell = int(n_field), parse_ell(ell_field)
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}, expected 'N ell'") from None
     labels = {}
     for ln in lines[1:]:
         u, v, lab = int_fields(ln, 3, "labeling")

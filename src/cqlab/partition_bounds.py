@@ -46,6 +46,9 @@ def gamma_upper_bound(ell, conjectured_c2: bool = False) -> Fraction:
 
     For ell >= 3 the sum satisfies S_ell = 3*2**(ell-2) - 2*ell + 4, giving
     1/2 - 1/(3*2**(ell-1) - 4*ell + 8).
+
+    This is the ratio the bounds module uses. It equals the exact ratio
+    (EXACT_GAMMA) for 2, 3 and INFINITE labels.
     """
     ell = validate_ell(ell, minimum=1)
     if is_infinite(ell):

@@ -293,8 +293,9 @@ class BatchedGreedyStrategy:
             batch = list(itertools.combinations(pool, 2))
         else:
             k = max(1, len(self.clique))
-            # shortlist size L: L*k + C(L,2) <= room
-            L = 1
+            # shortlist size L: L*k + C(L,2) <= room, but at least one
+            # candidate while its pairs fit what is left of the budget
+            L = 1 if len(self.clique) <= self.budget - self.spent else 0
             while (L + 1) * k + math.comb(L + 1, 2) <= room and self.cursor + L < len(self.order):
                 L += 1
             cands = self.order[self.cursor : self.cursor + L]

@@ -295,6 +295,7 @@ class TestRedBlueValidation:
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty red/blue graph file"),
+        ("2 3\n1 3\n", r"bad red/blue header line '2 3'"),
         ("2\n1 3\n1 3\n", r"blue edge \(1, 3\) listed twice"),
         ("2\n1 3\n3 1\n", r"blue edge \(3, 1\) listed twice"),
         ("2\n1 3 4\n", r"bad red/blue line '1 3 4'"),

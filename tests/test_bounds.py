@@ -26,6 +26,7 @@ from cqlab.bounds import (
     table_l2_rows,
     trivial_dense_bound,
 )
+from cqlab.partition_bounds import gamma_upper_bound
 
 
 class TestBinaryEntropy:
@@ -96,9 +97,8 @@ class TestCliqueAlphaUpper:
         assert abs(clique_alpha_upper(q) - left) < 1e-12
 
     def test_rejects_one_label(self):
-        for mode in ("auto", "exact", "upper"):
-            with pytest.raises(ValueError, match="one label: the ratio is 0"):
-                clique_alpha_upper(CliqueBoundQuery(delta=1.0, ell=1), mode)
+        with pytest.raises(ValueError, match="one label: the ratio is 0"):
+            clique_alpha_upper(CliqueBoundQuery(delta=1.0, ell=1))
 
     @pytest.mark.parametrize("ell,exact,upper", [
         (2, 0.25, 0.25),
@@ -108,23 +108,15 @@ class TestCliqueAlphaUpper:
         (INFINITE, 0.5, 0.5),
     ])
     def test_resolve_gamma_modes(self, ell, exact, upper):
-        # 1/2 - 1/(2 S_ell) with S_ell = 3*2**(ell-2) - 2 ell + 4: S_4 = 8, S_7 = 86
-        assert resolve_gamma(ell, "upper") == upper
-        if exact is None:
-            assert resolve_gamma(ell, "auto") == upper
-            with pytest.raises(ValueError, match=f"no exact ratio known for ell={ell}; "
-                                                 "use gamma_mode='upper'"):
-                resolve_gamma(ell, "exact")
-        else:
-            assert resolve_gamma(ell, "auto") == resolve_gamma(ell, "exact") == exact
+        # 1/2 - 1/(2 S_ell) with S_ell = 3*2**(ell-2) - 2 ell + 4: S_4 = 8, S_7 = 86;
+        # where an exact ratio is known the upper bound equals it
+        assert resolve_gamma(ell) == upper
+        if exact is not None:
+            assert resolve_gamma(ell) == exact
 
-    def test_gamma_modes(self):
-        q = CliqueBoundQuery(delta=1.0, ell=4)
-        upper = clique_alpha_upper(q, "upper")
-        auto = clique_alpha_upper(q, "auto")
-        assert upper == auto  # no exact value for 4 labels
-        with pytest.raises(ValueError):
-            clique_alpha_upper(q, "exact")
+    @pytest.mark.parametrize("ell", [*range(2, 13), INFINITE])
+    def test_resolve_gamma_is_the_upper_bound(self, ell):
+        assert resolve_gamma(ell) == float(gamma_upper_bound(ell))
 
     def test_justification_inequality(self):
         # 2 - delta <= 2 gamma alpha at the returned bound, for ell >= 3
@@ -150,7 +142,7 @@ class TestCorollary:
     def test_agrees_with_upper_mode(self, ell):
         for delta in np.linspace(1.0, 2.0, 11):
             q = CliqueBoundQuery(delta=float(delta), ell=ell)
-            assert abs(corollary_alpha(float(delta), ell) - clique_alpha_upper(q, "upper")) < 1e-12
+            assert abs(corollary_alpha(float(delta), ell) - clique_alpha_upper(q)) < 1e-12
 
     def test_rejects_small_ell(self):
         with pytest.raises(ValueError):
@@ -162,10 +154,6 @@ class TestCorollary:
             corollary_alpha(delta, 3)
         with pytest.raises(ValueError, match=r"delta must lie in \[1, 2\]"):
             CliqueBoundQuery(delta=delta, ell=3)
-
-    def test_rejects_unknown_gamma_mode(self):
-        with pytest.raises(ValueError, match="unknown gamma_mode 'bogus'"):
-            resolve_gamma(3, "bogus")
 
 
 class TestDenseF:
@@ -358,8 +346,6 @@ class TestAlpha2ClosedForm:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             alpha2_closed_form(4, 0.9)
-        with pytest.raises(ValueError):
-            alpha2_closed_form(2, 0.9, delta=1.5)
         with pytest.raises(ValueError):
             alpha2_closed_form(2, 0.6)
 

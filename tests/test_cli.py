@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +246,16 @@ class TestSimulateCommand:
         assert payload["is_clique"] is True
         assert payload["queries_used"] <= payload["budget"]
 
+    def test_amplified_round_limited_tiny_budget(self, capsys):
+        # eight vertices, three blocks: each block gets a budget of 2
+        code, out, err = run(capsys, "simulate", "greedy", "--n", "8", "--delta", "1",
+                             "--ell", "3", "--seed", "0", "--amplify", "--output", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["is_clique"] is True
+        assert payload["queries_used"] <= payload["budget"] == 8
+        assert payload["rounds_used"] == 3
+
     def test_transcript_export(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         code, out, _ = run(capsys, "simulate", "greedy", "--n", "64", "--delta", "1.5",
@@ -307,3 +321,25 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err
+
+
+class TestModuleEntry:
+    """`python -m cqlab` in a fresh interpreter, through `__main__`."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "cqlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_exit_codes(self):
+        ok = self.run_module("bounds", "clique", "--delta", "1", "--ell", "3")
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1.577350269\n", "")
+        domain = self.run_module("bounds", "clique", "--delta", "1", "--ell", "1")
+        assert domain.returncode == 1
+        assert domain.stderr == "error: no meaningful bound for one label: the ratio is 0\n"
+        usage = self.run_module("bounds", "clique", "--delta", "1", "--ell", "3",
+                                "--gamma-mode", "upper")
+        assert usage.returncode == 2
+        assert "unrecognized arguments: --gamma-mode upper" in usage.stderr

@@ -825,6 +825,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text,message", [
         ("4\n", r"bad header '4', expected 'N ell'"),
+        ("x 2\n", r"bad header 'x 2', expected 'N ell'"),
         ("3 2\n1 2\n", r"bad labeling line '1 2'"),
         ("3 2\n1 2 x\n", r"bad labeling line '1 2 x'"),
     ])

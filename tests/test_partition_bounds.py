@@ -94,6 +94,10 @@ class TestGammaUpperBound:
         with pytest.raises(ValueError):
             gamma_exact(4)
 
+    @pytest.mark.parametrize("ell", [2, 3, INFINITE])
+    def test_upper_bound_is_exact_where_known(self, ell):
+        assert gamma_upper_bound(ell) == gamma_exact(ell)
+
 
 class TestExactInputs:
     def test_as_fraction_rejects_none(self):

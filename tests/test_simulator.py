@@ -248,6 +248,18 @@ class TestRunLAdaptive:
             assert res.rounds_used == ell
             assert list(res.vertices) == sorted(strat.clique[: len(res.vertices)])
 
+    def test_batched_greedy_tiny_budgets(self):
+        # a later round takes no candidate once its len(clique) pairs no
+        # longer fit the budget left
+        for budget in range(1, 40):
+            for seed in range(10):
+                g = new_instance(64, seed)
+                strat = BatchedGreedyStrategy(64, seed=seed, budget=budget, ell=3)
+                res = run_l_adaptive(g, strat, 1.0, 3, budget=budget)
+                assert res.is_clique
+                assert res.queries_used == len(g.query_log) <= budget
+                assert res.rounds_used == 3
+
     def test_batched_greedy_soft_bound_check(self):
         # soft sanity vs. theory: logged, never fatally asserted
         n = 2**14

@@ -22,6 +22,24 @@ def _ell_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _ells_arg(text: str) -> list:
+    ells = [_ell_arg(t) for t in text.split(",") if t.strip()]
+    if not ells:
+        raise argparse.ArgumentTypeError("expected a comma list of label counts, e.g. 2,3,inf")
+    return ells
+
+
+def _fraction_arg(text: str) -> str:
+    # checked here, passed on as typed: the library reads it exactly and the
+    # JSON output echoes it
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational such as 1/64 or 0.125, got {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="cqlab", description=__doc__)
     sub = top.add_subparsers(dest="group", required=True)
@@ -46,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = bsub.add_parser("sweep", help="figure data over an eta range (CSV)")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--ells", type=str, required=True, help="comma list, e.g. 2,3,inf")
+    p.add_argument("--ells", type=_ells_arg, required=True, help="comma list, e.g. 2,3,inf")
     p.add_argument("--eta-from", type=float, required=True)
     p.add_argument("--eta-to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
@@ -71,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--brute-force", action="store_true", default=False)
     mode.add_argument("--local-search", action="store_true", default=False)
-    p.add_argument("--epsilon", type=str, default=None)
+    p.add_argument("--epsilon", type=_fraction_arg, default=None)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
 
@@ -87,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gsub.add_parser("epscheck", help="weight-scheme inequalities for epsilon")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--epsilon", type=str, required=True)
+    p.add_argument("--epsilon", type=_fraction_arg, required=True)
     add_output(p)
 
     be = sub.add_parser("beta", help="red/blue alternating structures")
@@ -167,8 +185,7 @@ def _cmd_bounds(args) -> int:
         else:
             print(json.dumps(sol.to_json_dict(), sort_keys=True))
     elif args.cmd == "sweep":
-        ells = [parse_ell(t) for t in args.ells.split(",") if t.strip()]
-        rows = bounds.sweep_rows(args.delta, ells, args.eta_from, args.eta_to, args.step,
+        rows = bounds.sweep_rows(args.delta, args.ells, args.eta_from, args.eta_to, args.step,
                                  append_eta1=not args.no_eta1)
         text = _csv_text(rows)
         if args.out:

@@ -18,6 +18,23 @@ from fractions import Fraction
 
 from .errors import AdaptivityViolation, BudgetExceeded
 
+_pack_pair = struct.Struct("<II").pack
+
+
+def _range_error(n: int) -> ValueError:
+    return ValueError(f"vertices must lie in 0..{n - 1}")
+
+
+def _vertex_pool(n: int, vertices) -> list[int]:
+    """All of range(n), or `vertices` sorted; each must be a vertex of the
+    graph (a repeated vertex is left to the oracle's self-loop check)."""
+    if vertices is None:
+        return list(range(n))
+    pool = sorted(vertices)
+    if pool and (pool[0] < 0 or pool[-1] >= n):
+        raise _range_error(n)
+    return pool
+
 
 class RevealedGraph:
     """Adjacency oracle over G(n, 1/2) with a query/round ledger."""
@@ -27,28 +44,26 @@ class RevealedGraph:
             raise ValueError(f"need at least 2 vertices, got {n}")
         self.n = int(n)
         self.seed = int(seed) & (2**64 - 1)
-        self._key = self.seed.to_bytes(8, "little")
+        # keyed state before any message; each fresh pair hashes a copy, which
+        # gives the one-shot blake2b(pack(a, b), key=seed as 8 LE bytes) digest
+        self._hasher = hashlib.blake2b(key=self.seed.to_bytes(8, "little"), digest_size=8)
         self.revealed: dict[tuple[int, int], int] = {}
         self.query_log: list[tuple[int, int, int]] = []
         self.rounds_closed = 0
 
-    def _coin(self, u: int, v: int) -> int:
-        h = hashlib.blake2b(
-            struct.pack("<II", u, v), key=self._key, digest_size=8
-        ).digest()
-        return h[0] & 1
-
     def query(self, u: int, v: int) -> int:
         """Reveal (and cache) the adjacency bit of pair (u, v); logged."""
-        if u == v:
-            raise ValueError("no self-loops: u and v must differ")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertices must lie in 0..{self.n - 1}")
         a, b = (u, v) if u < v else (v, u)
-        bit = self.revealed.get((a, b))
+        if not 0 <= a < b < self.n:
+            if u == v:
+                raise ValueError("no self-loops: u and v must differ")
+            raise _range_error(self.n)
+        key = (a, b)
+        bit = self.revealed.get(key)
         if bit is None:
-            bit = self._coin(a, b)
-            self.revealed[(a, b)] = bit
+            h = self._hasher.copy()
+            h.update(_pack_pair(a, b))
+            bit = self.revealed[key] = h.digest()[0] & 1
         self.query_log.append((self.rounds_closed, a, b))
         return bit
 
@@ -128,23 +143,26 @@ def greedy_clique(g: RevealedGraph, budget: int, vertices=None, scan_seed=None) 
     pairs stays within the budget."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    pool = list(range(g.n)) if vertices is None else sorted(vertices)
+    pool = _vertex_pool(g.n, vertices)
     rng = random.Random((g.seed if scan_seed is None else scan_seed) ^ 0x9E3779B97F4A7C15)
     rng.shuffle(pool)
-    start = g.queries_used
+    query, log = g.query, g.query_log
+    start = len(log)
     rounds_before = g.rounds_closed
     clique: list[int] = []
+    # worst case for the next candidate: test it against the k members, then
+    # verify C(k+1, 2) pairs; grows only with the clique
+    reserve = 0
     for cand in pool:
-        k = len(clique)
-        used = g.queries_used - start
-        # worst case: test against k members, then verify C(k+1, 2) pairs
-        if used + k + math.comb(k + 1, 2) > budget:
+        if len(log) - start + reserve > budget:
             break
         for member in clique:
-            if not g.query(cand, member):
+            if not query(cand, member):
                 break
         else:
             clique.append(cand)
+            k = len(clique)
+            reserve = k + math.comb(k + 1, 2)
         g.close_round()
     return _verified_result(g, clique, budget, start, rounds_before, {"strategy": "greedy"})
 
@@ -198,19 +216,22 @@ def run_l_adaptive(
     if budget is None:
         budget = query_budget(g.n, delta)
     ctx = RoundContext()
+    query, pending = g.query, ctx._pending
     start = g.queries_used
     rounds_before = g.rounds_closed
+    room = budget
     for rnd in range(ell):
         batch = strategy.round_queries(rnd, ctx.known(), ctx)
         for u, v in batch:
-            if g.queries_used - start >= budget:
+            if room <= 0:
                 raise BudgetExceeded(
                     f"budget exceeded: round {rnd} passed {budget} total queries"
                 )
-            ctx._pending[(min(u, v), max(u, v))] = g.query(u, v)
+            room -= 1
+            pending[(u, v) if u < v else (v, u)] = query(u, v)
         # round closes: release the answers
-        ctx._answers.update(ctx._pending)
-        ctx._pending.clear()
+        ctx._answers.update(pending)
+        pending.clear()
         g.close_round()
     chosen = strategy.result(ctx.known(), ctx)
     return _verified_result(
@@ -252,7 +273,7 @@ class BatchedGreedyStrategy:
     def __init__(self, n: int, seed: int, budget: int, ell: int, vertices=None):
         self.budget = budget
         self.ell = ell
-        pool = list(range(n)) if vertices is None else sorted(vertices)
+        pool = _vertex_pool(n, vertices)
         rng = random.Random(seed ^ 0xA5A5A5A5)
         rng.shuffle(pool)
         self.order = pool

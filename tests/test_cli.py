@@ -279,6 +279,40 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "argument --ell" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ells", ["2,abc", "", " , ", "3,,x"])
+    def test_bad_ells_list_exit_2(self, capsys, ells):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "sweep", "--delta", "1", f"--ells={ells}",
+                  "--eta-from", "0.97", "--eta-to", "0.99", "--step", "0.01"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --ells" in err
+
+    @pytest.mark.parametrize("cmd", [
+        ["gamma", "epscheck", "--ell", "6"],
+        ["gamma", "verify", "--construction", "lex", "--n", "8", "--local-search"],
+        ["gamma", "verify", "--construction", "lex", "--n", "8", "--brute-force"],
+    ])
+    @pytest.mark.parametrize("token", ["abc", "1/0", "1/"])
+    def test_bad_epsilon_token_exit_2(self, capsys, cmd, token):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--epsilon", token])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --epsilon: expected a rational such as 1/64 or 0.125, got {token!r}" in err
+
+    def test_epscheck_nonpositive_epsilon_exit_1(self, capsys):
+        code, out, err = run(capsys, "gamma", "epscheck", "--ell", "6", "--epsilon", "0")
+        assert (code, out, err) == (1, "", "error: epsilon must be positive\n")
+
+    def test_epscheck_echoes_epsilon_as_typed(self, capsys):
+        code, out, _ = run(capsys, "gamma", "epscheck", "--ell", "6", "--epsilon", "0.015625",
+                           "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {"ell": 6, "epsilon": "0.015625", "ok": True}
+
     @pytest.mark.parametrize("cmd", [["clique"], ["dense", "--eta", "0.95"]])
     def test_csv_output_refused_where_not_printed(self, capsys, cmd):
         # only table-l2 prints CSV; elsewhere --output csv is a usage error

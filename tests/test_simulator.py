@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqlab.bounds import CliqueBoundQuery, clique_alpha_upper
 from cqlab.errors import AdaptivityViolation, BudgetExceeded
@@ -50,6 +53,46 @@ class TestRevealedGraph:
             g.query(0, 10)
         with pytest.raises(ValueError):
             new_instance(1, 0)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_equal_one_shot_keyed_hash(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=2**17), label="n")
+        seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed")
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                                   max_size=30), label="pairs")
+        # each pair again, reversed, and some a third time as given
+        pairs = pairs + [(v, u) for u, v in pairs] + pairs[::3]
+        g = new_instance(n, seed)
+        log, revealed = [], {}
+        for i, (u, v) in enumerate(pairs):
+            a, b = min(u, v), max(u, v)
+            bit = hashlib.blake2b(struct.pack("<II", a, b), key=seed.to_bytes(8, "little"),
+                                  digest_size=8).digest()[0] & 1
+            assert g.query(u, v) == bit
+            log.append((g.rounds_closed, a, b))
+            revealed[(a, b)] = bit
+            if i % 7 == 6:
+                g.close_round()
+        assert g.query_log == log
+        assert g.revealed == revealed
+
+    @pytest.mark.parametrize("u,v,message", [
+        (3, 3, "no self-loops: u and v must differ"),
+        (-1, -1, "no self-loops: u and v must differ"),
+        (10, 10, "no self-loops: u and v must differ"),
+        (-1, 2, "vertices must lie in 0..9"),
+        (2, -1, "vertices must lie in 0..9"),
+        (2, 10, "vertices must lie in 0..9"),
+        (10, 2, "vertices must lie in 0..9"),
+    ])
+    def test_refusal_texts(self, u, v, message):
+        g = new_instance(10, 1)
+        with pytest.raises(ValueError) as exc:
+            g.query(u, v)
+        assert str(exc.value) == message
+        assert g.query_log == [] and g.revealed == {}
 
     def test_empirical_density_half(self):
         g = new_instance(10**4, 7)
@@ -106,6 +149,21 @@ class TestGreedy:
         r1 = greedy_clique(new_instance(1024, 9), 10**5)
         r2 = greedy_clique(new_instance(1024, 9), 10**5)
         assert r1 == r2
+
+    @pytest.mark.parametrize("vertices", [[100], [-3], [1, 8], [-1, 0, 5]])
+    def test_pool_outside_the_graph_rejected(self, vertices):
+        # a lone vertex is never queried, so only the pool check can refuse it
+        g = new_instance(8, 1)
+        with pytest.raises(ValueError) as exc:
+            greedy_clique(g, 10, vertices=vertices)
+        assert str(exc.value) == "vertices must lie in 0..7"
+        assert g.queries_used == 0
+
+    def test_pool_at_the_edges_accepted(self):
+        res = greedy_clique(new_instance(8, 1), 10, vertices=[7])
+        assert res.vertices == (7,)
+        res = greedy_clique(new_instance(8, 1), 10, vertices=[0, 7])
+        assert res.is_clique and set(res.vertices) <= {0, 7}
 
     def test_size_window_spot(self):
         # the 20-seed acceptance battery lives in test_acceptance; spot-check
@@ -170,6 +228,27 @@ class _BudgetBomb:
         return [0]
 
 
+class _LazyBomb:
+    """Round 0: five pairs, one repeated; round 1: a generator over every
+    pair of 20 vertices, reversed, that counts what the harness pulls."""
+
+    def __init__(self):
+        self.pulled = 0
+
+    def round_queries(self, rnd, answers, ctx):
+        def gen():
+            pairs = ([(0, 1), (2, 1), (3, 0), (4, 5), (1, 0)] if rnd == 0
+                     else ((v, u) for u in range(20) for v in range(u + 1, 20)))
+            for p in pairs:
+                self.pulled += 1
+                yield p
+
+        return gen()
+
+    def result(self, answers, ctx):
+        return [0]
+
+
 class TestRunLAdaptive:
     def test_single_round_fixed_batch(self):
         g = new_instance(32, 2)
@@ -193,6 +272,27 @@ class TestRunLAdaptive:
         g = new_instance(64, 2)
         with pytest.raises(BudgetExceeded, match="budget exceeded"):
             run_l_adaptive(g, _BudgetBomb(64), 1.0, 1)
+
+    def test_budget_runs_out_mid_round(self):
+        # message, ledger and pull count recorded before the harness kept its
+        # own count of the room left
+        g = new_instance(20, 5)
+        strat = _LazyBomb()
+        with pytest.raises(BudgetExceeded) as exc:
+            run_l_adaptive(g, strat, 1.0, 3, budget=12)
+        assert str(exc.value) == "budget exceeded: round 1 passed 12 total queries"
+        assert g.queries_used == 12 and strat.pulled == 13
+        assert g.rounds_closed == 1 and len(g.revealed) == 9
+        assert [line[:-2] for line in g.transcript_lines()] == [
+            "0,0,1", "0,1,2", "0,0,3", "0,4,5", "0,0,1",
+            "1,0,1", "1,0,2", "1,0,3", "1,0,4", "1,0,5", "1,0,6", "1,0,7",
+        ]
+
+    @pytest.mark.parametrize("vertices", [[100], [-3], [2, 8]])
+    def test_batched_pool_outside_the_graph_rejected(self, vertices):
+        with pytest.raises(ValueError) as exc:
+            BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=vertices)
+        assert str(exc.value) == "vertices must lie in 0..7"
 
     def test_verification_past_budget_raises(self):
         # two round queries fit a budget of 2; re-querying the six pairs of
@@ -361,6 +461,15 @@ class TestAmplify:
         assert amp.is_clique and len(amp.vertices) >= 2
         assert amp.queries_used == len(g.query_log) <= 16384
         assert amp.rounds_used == 3
+
+    @pytest.mark.parametrize("runner", [greedy_block_runner, batched_block_runner])
+    @pytest.mark.parametrize("block", [[100], [-3], [5, 6, 7, 8]])
+    def test_block_outside_the_graph_rejected(self, runner, block):
+        g = new_instance(8, 1)
+        with pytest.raises(ValueError) as exc:
+            runner(g, block, 3, 10, 2)
+        assert str(exc.value) == "vertices must lie in 0..7"
+        assert g.queries_used == 0
 
     def test_determinism(self):
         a1 = amplify(greedy_block_runner, new_instance(512, 6), 1.0, 1)

@@ -9,17 +9,19 @@ acyclic there is no alternating cycle, and the exact path DFS stops as soon
 as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
 bound (or a cyclic digraph) makes the path DFS exhaustive. The matching
-scans are vectorised NumPy: one table of edge ids lists every matching in
-lexicographic order, and the scans read per-edge label tables through it in
-row chunks.
+scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
+first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
+edge ids, read through the block's map to the edge ids of K_n. The scans
+walk that table in row chunks, scoring each chunk for all blocks of one
+first vertex at once, and never build the (n, m) table.
 The dense formulas f, f', p and the entropy live here only; `bounds` calls
 them. `python3 cqbench/run.py` times the kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
-  * matchings inside kernels: rows of sorted edge ids, one row of the int16
-    matching table per matching; the id of (u, v), u < v, is its rank in
-    lexicographic order from 0, which is np.triu_indices order;
+  * matchings inside kernels: rows of sorted edge ids in an int16 matching
+    table; the id of (u, v), u < v, is its rank in lexicographic order from
+    0, which is np.triu_indices order;
   * red/blue graphs: red edge i joins vertices 2i and 2i+1, so the red partner
     of v is v ^ 1; blue adjacency is CSR as two lists (indptr, indices),
     vertices 0-based.
@@ -42,38 +44,83 @@ BACKEND = "numpy"
 # matching enumeration
 # ---------------------------------------------------------------------------
 
-# rows per vectorised step of the matching scans; a step's temporaries hold
-# rows x m or rows x C(m, 2) entries (m the matching size), whatever n is
+# rows of the (n-2, m-1) table per vectorised step of the matching scans; a
+# step's temporaries hold blocks x rows x (m-1 + C(m-1, 2)) entries for the
+# at most n-1 blocks sharing a first vertex, whatever n and m make the length
+# of the table
 _SCAN_ROWS = 1024
 
 
+def _pairs(n):
+    # (a, b) of the edges (a, b), a < b, of K_n in lexicographic order, the
+    # order of np.triu_indices(n, 1), without its mask set-up
+    w = np.arange(n)
+    return np.nonzero(w[:, None] < w)
+
+
 def _matching_table(n, m):
-    """Every size-m matching of K_n, m >= 1, as one row of an int16 (rows, m)
-    table of ascending edge ids. Rows come in lexicographic order of the
+    """Every size-m matching of K_n as one row of an int16 (rows, m) table of
+    ascending edge ids, m >= 1. Rows come in lexicographic order of the
     sorted edge list."""
     if m == 1:
         return np.arange(n * (n - 1) // 2, dtype=np.int16)[:, None]
-    # C(n, 2m) vertex sets times (2m-1)!! perfect matchings of each
-    table = np.empty((math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2)), m), np.int16)
-    eid = np.zeros((n, n), np.int16)
-    eid[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
-    # first edge (i, v): vertices below i stay unmatched, and the other m-1
-    # edges form an (n-i-2, m-1) table over the vertices above i but v. That
-    # table is the tail of the (n-2, m-1) table that avoids its vertices below
-    # i, read through `others`, the vertices of K_n but i and v in order.
-    sub = _matching_table(n - 2, m - 1)
-    sa, sb = np.triu_indices(n - 2, 1)
-    low = sa[sub[:, 0]]  # each row's lowest vertex, ascending
+    first, emap, start, sub = _first_edge_blocks(n, m)
+    table = np.empty((len(first) * len(sub) - start.sum(), m), np.int16)
     r = 0
-    for i in range(n - 2 * m + 1):
-        tail = sub[np.searchsorted(low, i):]
-        for v in range(i + 1, n):
-            others = np.array([w for w in range(n) if w != i and w != v], np.intp)
-            block = table[r:r + len(tail)]
-            block[:, 0] = eid[i, v]
-            block[:, 1:] = eid[others[sa], others[sb]][tail]
-            r += len(tail)
+    for f, e, s in zip(first, emap, start):
+        block = table[r:r + len(sub) - s]
+        block[:, 0] = f
+        block[:, 1:] = e[sub[s:]]
+        r += len(block)
     return table
+
+
+def _first_edge_blocks(n, m):
+    """The size-m matchings of K_n, m >= 1, in blocks by first edge, in
+    lexicographic order: (first, emap, start, sub). Block k holds the
+    matchings first[k] + emap[k][sub[r]] for the rows r >= start[k] of sub,
+    the (n-2, m-1) matching table, in order. With first edge (i, v), vertices
+    below i stay unmatched and the other m-1 edges match vertices above i but
+    v. Read through `others`, the vertices of K_n but i and v in order, these
+    are the rows of sub whose lowest vertex is >= i, a tail of sub. emap[k]
+    maps the edge ids of K_{n-2} to those of K_n through `others`, which is
+    increasing, so edge ids and rows keep their order."""
+    a, b = _pairs(n)
+    eid = np.zeros((n, n), np.int16)
+    eid[a, b] = np.arange(len(a))
+    keep = a <= n - 2 * m  # room for m-1 edges above i; a prefix of the edge ids
+    i, v = a[keep], b[keep]
+    sa, sb = _pairs(n - 2)
+    if m == 1:  # one empty row
+        sub, start = np.zeros((1, 0), np.int16), np.zeros(len(i), np.intp)
+    else:
+        sub = _matching_table(n - 2, m - 1)
+        start = np.searchsorted(sub[:, 0], np.searchsorted(sa, i))  # first edge at or above i
+    w = np.arange(n - 2)
+    others = w + (w >= i[:, None]) + (w >= v[:, None] - 1)
+    return eid[i, v], eid[others[:, sa], others[:, sb]], start, sub
+
+
+def _scan_chunks(start, rows):
+    # The scans walk the sub-table in chunks of _SCAN_ROWS rows. Per chunk:
+    # its first row s and, for each run k0..k1-1 of blocks sharing a start
+    # at or before the chunk's last row, (k0, k1, lo) with lo the run's first
+    # row inside the chunk. Blocks are in start order.
+    cut = np.flatnonzero(np.diff(start, prepend=-1)).tolist()
+    runs = list(zip(cut, cut[1:] + [len(start)], start[cut].tolist()))
+    for s in range(0, rows, _SCAN_ROWS):
+        yield s, [(k0, k1, max(r0 - s, 0)) for k0, k1, r0 in runs if r0 < s + _SCAN_ROWS]
+
+
+def _first_lex_min(keys):
+    # index along axis 1 of the first lexicographically smallest row of each
+    # keys[k], keys shaped (blocks, rows, width): each column keeps the rows
+    # still tied at its minimum
+    tied = np.ones(keys.shape[:2], bool)
+    for c in range(keys.shape[2]):
+        col = np.where(tied, keys[:, :, c], np.iinfo(np.int64).max)
+        tied &= col == col.min(1, keepdims=True)
+    return tied.argmax(1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +322,38 @@ def min_critical_scan(lab: np.ndarray, size: int):
     (x, w), x in e, w outside e, with lab(x, w) < L_e, and both[e, f] pairs
     x in e, y in f with lab(x, y) < min(L_e, L_f)."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
-    a, b = np.triu_indices(lab.shape[0], 1)
+    a, b = _pairs(lab.shape[0])
     L = lab[a, b]
     # w = x's partner has label L_e, so it never counts; the terms w = x are
     # subtracted, so no diagonal value is assumed
     single = sum((lab[x] < L[:, None]).sum(1) - (lab[x, x] < L) for x in (a, b))
     lo = np.minimum.outer(L, L)
     both = sum((lab[np.ix_(x, y)] < lo).astype(np.int64) for x in (a, b) for y in (a, b))
-    table = _matching_table(lab.shape[0], size)
-    j, k = np.triu_indices(size, 1)
-    best, best_row = -1, None
-    for s in range(0, len(table), _SCAN_ROWS):
-        T = table[s:s + _SCAN_ROWS]
-        counts = single[T].sum(1) - both[T[:, j], T[:, k]].sum(1)
-        i = int(np.argmin(counts))
-        if best < 0 or counts[i] < best:
-            best, best_row = int(counts[i]), T[i]
-    return best, np.column_stack((a[best_row], b[best_row]))
+    first, emap, start, sub = _first_edge_blocks(lab.shape[0], size)
+    # The count of first[k] + R, R a tail row of block k, is single[first[k]]
+    # plus a sum over R of W[k]: per edge f, single[f] - both[first[k], f],
+    # and per pair f < g, -both[f, g] at column c2 + f * c2 + g, for the c2
+    # edge ids of K_{n-2}. Counts stay below n^2, so int32 holds the sums.
+    c2 = emap.shape[1]
+    W = np.concatenate((single[emap] - both[first[:, None], emap],
+                        -both[emap[:, :, None], emap[:, None, :]].reshape(len(first), -1)),
+                       axis=1).astype(np.int32)
+    j, k = _pairs(size - 1)
+    best = np.full(len(first), np.iinfo(np.int32).max)  # each block's first minimum
+    best_row = np.zeros(len(first), np.intp)
+    for s, runs in _scan_chunks(start, len(sub)):
+        T = sub[s:s + _SCAN_ROWS].T.astype(np.intp)
+        Q = np.concatenate((T, c2 + T[j] * c2 + T[k]))  # the W columns of each row
+        for k0, k1, r in runs:
+            counts = np.take(W[k0:k1], Q[:, r:], axis=1).sum(1, dtype=np.int32)
+            i, c = counts.argmin(1), counts.min(1)
+            better = c < best[k0:k1]
+            best[k0:k1][better] = c[better]
+            best_row[k0:k1][better] = s + r + i[better]
+    total = single[first] + best
+    kb = int(np.argmin(total))  # the first block holding the minimum
+    ids = np.concatenate(([first[kb]], emap[kb][sub[best_row[kb]]]))
+    return int(total[kb]), np.column_stack((a[ids], b[ids]))
 
 
 def anti_lex_scan(lab: np.ndarray, size: int):
@@ -299,17 +361,29 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     the largest down, form the lexicographically smallest sequence; ties keep
     the first matching in lexicographic order of the sorted edge list."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
-    a, b = np.triu_indices(lab.shape[0], 1)
+    a, b = _pairs(lab.shape[0])
     L = lab[a, b]
-    table = _matching_table(lab.shape[0], size)
-    best_key, best_row = None, None
-    for s in range(0, len(table), _SCAN_ROWS):
-        T = table[s:s + _SCAN_ROWS]
-        keys = np.sort(L[T], axis=1)[:, ::-1]  # each row's edge labels, largest first
-        i = int(np.lexsort(keys.T[::-1])[0])  # stable: first row of the minimal key
-        if best_key is None or tuple(keys[i]) < best_key:
-            best_key, best_row = tuple(keys[i]), T[i]
-    return np.column_stack((a[best_row], b[best_row]))
+    first, emap, start, sub = _first_edge_blocks(lab.shape[0], size)
+    # Within a block the first edge's label is common to every matching, and
+    # inserting one value into two descending sequences of equal length keeps
+    # their order, so each block compares its tails' labels alone. best holds
+    # each block's first smallest tail key so far, starting from its first row.
+    Lb = L[emap]
+    best = np.sort(np.take_along_axis(Lb, sub[start], axis=1), axis=1)[:, ::-1]
+    best_row = start.copy()
+    for s, runs in _scan_chunks(start, len(sub)):
+        T = sub[s:s + _SCAN_ROWS]
+        for k0, k1, r in runs:
+            keys = np.sort(Lb[k0:k1, T[r:]], axis=2)[:, :, ::-1]  # largest first
+            keys = np.concatenate((best[k0:k1, None], keys), axis=1)  # ties keep best
+            i = _first_lex_min(keys)
+            took = i > 0
+            best[k0:k1][took] = keys[took, i[took]]
+            best_row[k0:k1][took] = s + r + i[took] - 1
+    full = np.sort(np.column_stack((L[first], best)), axis=1)[:, ::-1]
+    kb = int(_first_lex_min(full[None])[0])
+    ids = np.concatenate(([first[kb]], emap[kb][sub[best_row[kb]]]))
+    return np.column_stack((a[ids], b[ids]))
 
 
 def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int) -> int:

@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--brute-force", action="store_true", default=False)
     mode.add_argument("--local-search", action="store_true", default=False)
-    p.add_argument("--epsilon", type=_fraction_arg, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=_fraction_arg, default=None, help="local search only")
+    p.add_argument("--seed", type=int, default=None, help="local search only (default 0)")
     add_output(p)
 
     p = gsub.add_parser("upper", help="ratio upper bound 1/2 - 1/(2 S_ell)")
@@ -223,8 +223,9 @@ def _cmd_gamma(args) -> int:
         size = args.n // 2
         target = labeled_graphs.construction_min_ratio_analytic(args.construction)
         if args.local_search:
+            seed = 0 if args.seed is None else args.seed
             matching = labeled_graphs.switch_local_search(labeling, size, epsilon=args.epsilon,
-                                                          seed=args.seed)
+                                                          seed=seed)
             report = labeled_graphs.count_critical(labeling, matching)
             method = "local-search"
         else:
@@ -321,6 +322,10 @@ def _cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.group == "gamma" and args.cmd == "verify" and not args.local_search:
+        for flag in ("epsilon", "seed"):
+            if getattr(args, flag) is not None:
+                parser.error(f"argument --{flag}: only used with --local-search")
     try:
         if args.group == "bounds":
             return _cmd_bounds(args)

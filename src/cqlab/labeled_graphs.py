@@ -292,8 +292,9 @@ def min_critical_matching_bruteforce(
     """Exact minimum of the critical count over all size-`size` matchings.
 
     Ties break to the lexicographically smallest sorted edge list. The scan
-    counts critical edges vectorised over a table of all matchings, so K_16
-    perfect matchings (2,027,025 of them) take seconds.
+    counts critical edges vectorised over first-edge blocks of one table of
+    the (N-2, size-1) matchings, so K_16 perfect matchings (2,027,025 of
+    them) take a fraction of a second and size 7 (16,216,200) about one.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")

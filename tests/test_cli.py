@@ -303,6 +303,28 @@ class TestErrorPaths:
         assert out == ""
         assert f"argument --epsilon: expected a rational such as 1/64 or 0.125, got {token!r}" in err
 
+    @pytest.mark.parametrize("mode", [["--brute-force"], []])
+    @pytest.mark.parametrize("flag", [["--epsilon", "1/64"], ["--seed", "3"], ["--seed", "0"]])
+    def test_local_search_flags_refused_in_brute_force(self, capsys, mode, flag):
+        # brute force has no epsilon and no seed; neither mode flag means brute force
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "verify", "--construction", "lex", "--n", "8", *mode, *flag])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag[0]}: only used with --local-search" in err
+
+    def test_local_search_default_seed_is_0(self, capsys):
+        # on the two-label K_14 each of seeds 0-3 ends at a different matching
+        args = ["gamma", "verify", "--construction", "two", "--n", "14", "--local-search",
+                "--output", "json"]
+        code, default, _ = run(capsys, *args)
+        assert code == 0
+        assert run(capsys, *args, "--seed", "0") == (0, default, "")
+        assert run(capsys, *args, "--seed", "1")[1] != default
+        m = switch_local_search(make_construction(TWO_LABEL, 14), 7, seed=0)
+        assert json.loads(default)["matching"] == [list(e) for e in m.edges]
+
     def test_epscheck_nonpositive_epsilon_exit_1(self, capsys):
         code, out, err = run(capsys, "gamma", "epscheck", "--ell", "6", "--epsilon", "0")
         assert (code, out, err) == (1, "", "error: epsilon must be positive\n")

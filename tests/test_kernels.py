@@ -4,18 +4,24 @@ and the itertools path oracle of tests/test_alternating.py. There is one
 build of the kernels, so these check the public entry points against the
 cores they call; a chain of 2,000 red edges checks that the walker is not
 recursive. The dense F1/F2 batch wrappers are checked against closed forms
-and one-alpha calls. The matching scans built on the table are checked
-here against count_critical over every matching and against a digest of
-their outputs recorded with the earlier partner-table scans, and in
-tests/test_labeled_graphs.py against itertools oracles.
+and one-alpha calls. The matching scans are checked here against a digest of
+their outputs recorded with the earlier partner-table scans, and on random
+labelings against count_critical over every matching (minimum) and a sort
+of every matching's labels (anti-lex), at several chunk lengths; a fresh
+process bounds the peak memory of K_16 scans. tests/test_labeled_graphs.py
+checks them against itertools oracles too.
 """
 import contextlib
 import gc
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +110,31 @@ def _scan_battery():
     return [(lab, size) for lab in labs for size in range(1, lab.shape[0] // 2 + 1)]
 
 
+@st.composite
+def _scan_cases(draw):
+    # a random labeling of K_n, n 4-10, with 2, 3, 4 or infinitely many
+    # labels, one of its matching sizes, a scale of 1 or 10^11 for the scan's
+    # matrix (labels past int32; the order, so the answer, is the same)
+    n = draw(st.integers(min_value=4, max_value=10))
+    ell = draw(st.sampled_from([2, 3, 4, INFINITE]))
+    lab = random_labeling(n, ell, seed=draw(st.integers(min_value=0, max_value=10**6)))
+    return lab, draw(st.integers(min_value=1, max_value=n // 2)), draw(st.sampled_from([1, 10**11]))
+
+
+def _chunked(scan, lab, size):
+    # the scan's answers with chunks of 1, 5, 64 and the default _SCAN_ROWS
+    # rows: at n <= 10 the default takes the whole (n-2, m-1) table in one
+    # chunk, so only short ones merge chunks and start a block mid-chunk
+    saved, out = K._SCAN_ROWS, []
+    try:
+        for rows in (1, 5, 64, saved):
+            K._SCAN_ROWS = rows
+            out.append(scan(lab, size))
+    finally:
+        K._SCAN_ROWS = saved
+    return out
+
+
 class TestMatchingScans:
     # sha256 of the battery's (count, argmin edges, anti-lex edges), recorded
     # with the partner-table scans the edge-id scans replaced
@@ -117,22 +148,49 @@ class TestMatchingScans:
         assert len(out) == 444
         assert hashlib.sha256(repr(out).encode()).hexdigest() == self.BATTERY_DIGEST
 
-    @given(st.integers(min_value=0, max_value=10**6))
+    @given(_scan_cases())
     @settings(max_examples=30, deadline=None)
-    def test_minimum_over_count_critical(self, seed):
+    def test_minimum_over_count_critical(self, case):
         # the inclusion-exclusion count's minimum and first minimiser equal
         # those of count_critical over every matching, in lexicographic order
-        rng = random.Random(seed)
-        n = rng.randint(4, 9)
-        size = rng.randint(1, n // 2)
-        lab = random_labeling(n, rng.choice([2, 3, 4, INFINITE]), seed=seed)
-        matchings = _itertools_matchings(n, size)
+        lab, size, scale = case
+        matchings = _itertools_matchings(lab.n, size)
         counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
                   for m in matchings]
         best = min(counts)
-        count, edges = K.min_critical_scan(lab.matrix0(), size)
-        assert count == best
-        assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
+        for count, edges in _chunked(K.min_critical_scan, lab.matrix0() * scale, size):
+            assert count == best
+            assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
+
+    @given(_scan_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_anti_lex_over_sorted_labels(self, case):
+        # each matching's labels sorted largest first, compared as lists: the
+        # first matching, in lexicographic order, with the smallest list
+        lab, size, scale = case
+        matchings = _itertools_matchings(lab.n, size)
+        keys = [sorted((lab.label(u + 1, v + 1) for u, v in m), reverse=True) for m in matchings]
+        for edges in _chunked(K.anti_lex_scan, lab.matrix0() * scale, size):
+            assert tuple(map(tuple, edges.tolist())) == matchings[keys.index(min(keys))]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads Linux VmHWM")
+    def test_k16_memory(self):
+        # A fresh process scans the two-label K_16 at sizes 7 (16,216,200
+        # matchings) and 8 (2,027,025). A table of every size-7 matching alone
+        # takes 227 MB, and a scan that built one peaked at 275 MB. The peak is
+        # the process's VmHWM: ru_maxrss of an exec'd child starts from its
+        # parent's peak, which a full test run takes far past the bound.
+        code = ("import re; from cqlab import _kernels as K; "
+                "from cqlab.labeled_graphs import make_construction; "
+                "lab = make_construction('two', 16).matrix0(); "
+                "print(K.min_critical_scan(lab, 7)[0], K.min_critical_scan(lab, 8)[0], "
+                "re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(K.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+        assert out[:2] == ["24", "32"]
+        assert int(out[2]) < 120 * 1024
 
 
 def _random_graph(rng, max_x):

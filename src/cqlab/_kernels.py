@@ -14,8 +14,10 @@ first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
 edge ids, read through the block's map to the edge ids of K_n. The scans
 walk that table in row chunks, scoring each chunk for all blocks of one
 first vertex at once, and never build the (n, m) table.
-The dense formulas f, f', p and the entropy live here only; `bounds` calls
-them. `python3 cqbench/run.py` times the kernels through their callers.
+The dense formulas f, f', f'', p and the entropy live here only, and so does
+`_bisect`, the one search loop behind the f'-argmin, the f' root m1 and the
+alpha and eta searches in `bounds`. `python3 cqbench/run.py` times the
+kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -34,7 +36,7 @@ import numpy as np
 
 _P_FLOOR = 0.5 + 1e-12
 M_TOL = 1e-12  # bisection width of the f' root m1
-_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+_LN2 = math.log(2.0)
 
 # stamped on every benchmark result; cqbench/compare.py refuses to mix backends
 BACKEND = "numpy"
@@ -251,33 +253,38 @@ def _fprime_val(m, a, d, g, eta):
     return -4.0 * g * m * (1.0 + math.log2(p)) + (2.0 - d)
 
 
-def _argmin_fprime(a, d, g, eta):
-    # Golden-section search: f' is convex in m (the suite certifies this
-    # numerically), and each step reuses one interior value, so it costs one
-    # f' evaluation. Stops at the tolerance or when float spacing exhausts
-    # the interval.
-    l = 0.0
-    r = 0.5 * a
-    c = r - _INV_PHI * (r - l)
-    e = l + _INV_PHI * (r - l)
-    fc = _fprime_val(c, a, d, g, eta)
-    fe = _fprime_val(e, a, d, g, eta)
-    while r - l > 1e-13:
-        if fc < fe:
-            r = e
-            e, fe = c, fc
-            c = r - _INV_PHI * (r - l)
-            if c <= l or c >= e:
-                break
-            fc = _fprime_val(c, a, d, g, eta)
+def _fsecond_val(m, a, d, g, eta):
+    # d/dm of f': with A = a^2/2, q = 2 g m^2, D = A - q and N = p D = eta A - q,
+    # f'' = -4 g (1 + log2 p) + 16 g^2 m^2 A (1 - eta) / (D N ln 2)
+    A = 0.5 * a * a
+    q = 2.0 * g * m * m
+    D = A - q
+    N = eta * A - q
+    if N <= 0.0:
+        return np.inf
+    return -4.0 * g * (1.0 + math.log2(N / D)) + 8.0 * g * q * A * (1.0 - eta) / (D * N * _LN2)
+
+
+def _bisect(below, lo, hi, tol):
+    # Halves [lo, hi] down to width tol, or until float spacing runs out,
+    # moving lo to the midpoint wherever below(mid) holds and hi elsewhere;
+    # returns the final (lo, hi). The one search loop of the dense solver.
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if below(mid):
+            lo = mid
         else:
-            l = c
-            c, fc = e, fe
-            e = l + _INV_PHI * (r - l)
-            if e <= c or e >= r:
-                break
-            fe = _fprime_val(e, a, d, g, eta)
-    return 0.5 * (l + r)
+            hi = mid
+    return lo, hi
+
+
+def _argmin_fprime(a, d, g, eta):
+    # f' is convex in m (the suite certifies this numerically), so f''
+    # changes sign at most once on [0, a/2], at the argmin of f'.
+    lo, hi = _bisect(lambda m: _fsecond_val(m, a, d, g, eta) < 0.0, 0.0, 0.5 * a, 1e-13)
+    return 0.5 * (lo + hi)
 
 
 def _solve_m1_val(a, d, g, eta):
@@ -288,17 +295,7 @@ def _solve_m1_val(a, d, g, eta):
     mstar = _argmin_fprime(a, d, g, eta)
     if _fprime_val(mstar, a, d, g, eta) > 0.0:
         return mstar, False
-    lo = 0.0
-    hi = mstar
-    tol = M_TOL  # a local: the loop below reads it on every step
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _fprime_val(mid, a, d, g, eta) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda m: _fprime_val(m, a, d, g, eta) > 0.0, 0.0, mstar, M_TOL)
     return 0.5 * (lo + hi), True
 
 

@@ -157,8 +157,9 @@ def dense_fprime(m: float, alpha: float, delta: float, gamma: float, eta: float)
 def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     """Smallest root of dense_fprime on [0, alpha/2], to 1e-12 in m, or
     math.inf when the derivative stays positive. The derivative is convex in
-    m, so locating its minimum (golden-section search) certifies "smallest":
-    the first root, if any, lies left of the argmin."""
+    m, so locating its minimum (bisection on the sign of the second
+    derivative) certifies "smallest": the first root, if any, lies left of
+    the argmin."""
     m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta))
     return m if found else math.inf
 
@@ -172,15 +173,7 @@ def trivial_dense_bound(eta: float) -> float:
 
 def _bisect_root(evaluate, lo: float, hi: float):
     # invariant: value(lo) <= 0 < value(hi); undefined (inf/nan) counts as > 0
-    while hi - lo > ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float spacing exhausted (huge-alpha brackets)
-        vm = evaluate(mid)
-        if math.isfinite(vm) and vm <= 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _kernels._bisect(lambda a: -math.inf < evaluate(a) <= 0, lo, hi, ALPHA_TOL)
     # certify a genuine crossing: both ends defined with opposite signs means
     # the continuous branch has a root inside the bracket. An undefined upper
     # end means the bisection slid onto a branch-existence boundary instead.
@@ -316,12 +309,8 @@ def density_threshold(delta: float, ell, target_alpha: float) -> float:
         raise NoCrossing(
             f"no crossing: alpha0 - {target_alpha} keeps sign {'+' if flo > 0 else '-'} on (3/4, 1]"
         )
-    while hi - lo > ETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if (a0(mid) - target_alpha > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _kernels._bisect(lambda eta: (a0(eta) - target_alpha > 0) == (flo > 0),
+                              lo, hi, ETA_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -338,7 +327,9 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
         raise ValueError(f"step must be positive, got {step}")
     if eta_from > eta_to:
         raise ValueError(f"eta_from ({eta_from}) must not exceed eta_to ({eta_to})")
-    nsteps = int(round((eta_to - eta_from) / step))
+    # the last eta stays at or below eta_to; the tolerance absorbs the
+    # rounding in (0.99 - 0.76) / 0.01 = 22.999999999999996
+    nsteps = math.floor((eta_to - eta_from) / step + 1e-9)
     grid = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
     # the bound's range is (3/4, 1]; an appended eta = 1 replaces the grid's
     etas = [eta for eta in grid if 0.75 < eta < 1.0 or (eta == 1.0 and not append_eta1)]

@@ -16,6 +16,7 @@ from cqlab import simulator as sim
 from cqlab.cli import main
 from cqlab.common import INFINITE
 from cqlab.errors import AdaptivityViolation, BudgetExceeded
+from test_partition_bounds import grid_maximum
 
 
 def _report(num, label, t0):
@@ -192,25 +193,8 @@ def test_criterion_07_alternating_suite():
 def test_criterion_08_partition_optimum_vs_grid():
     t0 = time.time()
     M = 100
-    step = M / 200
-    ticks = np.arange(0, M + step / 2, step)
     for kv in ((1, 1), (1, 2, 1), (1, 4, 2, 1)):
-        def value(xs):
-            xs = np.asarray(xs, dtype=float)
-            return (M * M - np.sum(xs**2, axis=0)) + sum(
-                (1 - 1 / k) * xs[i] ** 2 for i, k in enumerate(kv)
-            )
-
-        if len(kv) == 2:
-            best = value(np.stack([ticks, M - ticks])).max()
-        elif len(kv) == 3:
-            a, b = np.meshgrid(ticks, ticks, indexing="ij")
-            c = M - a - b
-            best = np.where(c >= -1e-9, value(np.stack([a, b, np.maximum(c, 0)])), -np.inf).max()
-        else:
-            a, b, c = np.meshgrid(ticks, ticks, ticks, indexing="ij")
-            d = M - a - b - c
-            best = np.where(d >= -1e-9, value(np.stack([a, b, c, np.maximum(d, 0)])), -np.inf).max()
+        best = grid_maximum(kv, M)
         opt = pb.optimal_partition(kv, M)
         assert abs(float(opt.max_value) - float(best)) < 1e-6
     _report(8, "closed-form class sizes match the M/200 grid maximum", t0)

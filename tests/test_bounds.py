@@ -236,7 +236,7 @@ class TestSolveM1:
             lo = grid[sign_change[0]]
             hi = grid[sign_change[0] + 1]
             assert lo <= m1 <= hi
-        # the golden-section argmin lands in the cell of the grid minimum
+        # the argmin found by bisection on f'' lands in the cell of the grid minimum
         i = int(np.argmin(fp))
         mstar = _kernels._argmin_fprime(alpha, delta, gamma, eta)
         assert grid[max(i - 1, 0)] <= mstar <= grid[min(i + 1, len(grid) - 1)]
@@ -249,6 +249,66 @@ class TestSolveM1:
             fp = -4 * gamma * m * (1 + np.log2(p)) + (2 - delta)
             second_diff = np.diff(fp, 2)
             assert np.min(second_diff) >= -1e-9
+
+
+def _no_root_cases(count, seed=0):
+    # (alpha, delta, gamma, eta, argmin) where f' > 0 on all of [0, alpha/2]
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        a, d, e = rng.uniform(1.0, 4.0), rng.uniform(1.0, 1.99), rng.uniform(0.76, 1.0)
+        g = float(rng.choice([0.25, 0.375, 0.4375, 0.46875, 0.5]))
+        m, found = _kernels._solve_m1_val(a, d, g, e)
+        if not found:
+            cases.append((a, d, g, e, m))
+    return cases
+
+
+class TestDenseSearch:
+    """The one bisection behind m1, the f'-argmin, the alpha roots and eta."""
+
+    def test_fsecond_matches_centred_difference(self):
+        h = 1e-6
+        for alpha, delta, gamma, eta in CONVEXITY_CASES:
+            for m in np.linspace(0.0, alpha / 2, 41)[1:-1].tolist():
+                fd = (_kernels._fprime_val(m + h, alpha, delta, gamma, eta)
+                      - _kernels._fprime_val(m - h, alpha, delta, gamma, eta)) / (2 * h)
+                assert abs(fd - _kernels._fsecond_val(m, alpha, delta, gamma, eta)) < 1e-6
+
+    def test_fsecond_nondecreasing(self):
+        # f' convex: the assumption the argmin bisection on the sign of f'' rests on
+        for alpha, delta, gamma, eta in CONVEXITY_CASES:
+            fs = [_kernels._fsecond_val(m, alpha, delta, gamma, eta)
+                  for m in np.linspace(0.0, alpha / 2, 1001).tolist()]
+            assert np.min(np.diff(fs)) >= -1e-9
+
+    def test_argmin_at_fsecond_sign_change(self):
+        # without a root the argmin is the answer, so it must sit where f''
+        # changes sign, or at alpha/2 when f'' < 0 throughout
+        for alpha, delta, gamma, eta, m in _no_root_cases(300):
+            assert m == _kernels._argmin_fprime(alpha, delta, gamma, eta)
+            if alpha / 2 - m <= 1e-11:
+                continue
+            assert _kernels._fsecond_val(m - 1e-11, alpha, delta, gamma, eta) < 0.0
+            assert _kernels._fsecond_val(m + 1e-11, alpha, delta, gamma, eta) >= 0.0
+
+    @given(
+        st.floats(min_value=1.0, max_value=8.0),
+        st.floats(min_value=1.0, max_value=1.99),
+        st.floats(min_value=0.05, max_value=0.5),
+        st.floats(min_value=0.7501, max_value=1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_m1_is_the_first_sign_change(self, alpha, delta, gamma, eta):
+        m1, found = _kernels._solve_m1_val(alpha, delta, gamma, eta)
+        noise = 1e-12  # f' is accurate to a few ulps of its O(1) terms
+        if found:
+            h = _kernels.M_TOL
+            assert _kernels._fprime_val(max(m1 - h, 0.0), alpha, delta, gamma, eta) > -noise
+            assert _kernels._fprime_val(min(m1 + h, alpha / 2), alpha, delta, gamma, eta) <= noise
+        else:
+            for m in np.linspace(0.0, alpha / 2, 2001).tolist():
+                assert _kernels._fprime_val(m, alpha, delta, gamma, eta) > -noise
 
 
 class TestDenseAlphaUpper:
@@ -415,3 +475,15 @@ class TestTables:
     def test_sweep_skips_infeasible_eta(self):
         rows = sweep_rows(1.0, [3], 0.75, 0.77, 0.01, append_eta1=False)
         assert [r["eta"] for r in rows] == [0.76, 0.77]
+
+    @pytest.mark.parametrize("eta_from,eta_to,step,count", [
+        (0.80, 0.85, 0.03, 2),  # 0.86 would overshoot
+        (0.76, 0.99, 0.01, 24),  # (0.99 - 0.76) / 0.01 is 22.999999999999996 in floats
+        (0.93, 0.93, 0.01, 1),
+    ])
+    def test_sweep_stops_at_eta_to(self, eta_from, eta_to, step, count):
+        rows = sweep_rows(1.0, [2], eta_from, eta_to, step, append_eta1=False)
+        etas = [r["eta"] for r in rows]
+        assert len(etas) == count
+        assert etas[0] == eta_from
+        assert etas[-1] <= eta_to

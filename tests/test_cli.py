@@ -172,6 +172,14 @@ class TestSweep:
         assert text.splitlines()[0].startswith("eta,ell,")
         assert "wrote" in out
 
+    def test_stops_at_eta_to(self, capsys):
+        # 0.80 + 2 * 0.03 = 0.86 lies past --eta-to, so only two rows print
+        code, out, _ = run(capsys, "bounds", "sweep", "--delta", "1", "--ells", "2",
+                           "--eta-from", "0.80", "--eta-to", "0.85", "--step", "0.03",
+                           "--no-eta1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["0.8", "0.83"]
+
 
 class TestBetaCommands:
     def test_build_check_roundtrip(self, capsys, tmp_path):

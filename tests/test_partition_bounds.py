@@ -23,6 +23,27 @@ from cqlab.partition_bounds import (
 )
 
 
+def grid_maximum(kv, M):
+    """Maximum of sum_{i<j} 2 x_i x_j + sum_i (1 - 1/k_i) x_i^2 over the
+    allocations of M to the classes of kv on the grid of step M/200, the last
+    class taking the rest. One size of the first class is evaluated at a time
+    with a running maximum, so no full grid is held: at four classes a slice
+    has 201^2 points, against 201^3 for the whole grid."""
+    step = M / 200
+    ticks = np.arange(0, M + step / 2, step)
+    best = -np.inf
+    for x0 in ticks:
+        free = np.meshgrid(*[ticks] * (len(kv) - 2), indexing="ij")
+        rest = M - x0
+        for x in free:
+            rest = rest - x
+        xs = np.stack([np.full_like(rest, x0), *free, np.maximum(rest, 0)])
+        cross = M * M - np.sum(xs**2, axis=0)  # sum_{i<j} 2 x_i x_j
+        own = sum((1 - 1 / k) * xs[i] ** 2 for i, k in enumerate(kv))
+        best = max(best, np.where(rest >= -1e-9, cross + own, -np.inf).max())
+    return best
+
+
 class TestCVector:
     @pytest.mark.parametrize(
         "ell,entries,s",
@@ -172,31 +193,7 @@ class TestOptimalPartition:
         # resolution M/200; the closed-form optimum sits on this grid for
         # these cap vectors, so the values agree exactly up to float noise.
         M = 100
-        step = M / 200
-        ticks = np.arange(0, M + step / 2, step)
-
-        def objective(xs):
-            xs = np.asarray(xs, dtype=float)
-            cross = (M * M - np.sum(xs**2, axis=0))  # sum_{i<j} 2 x_i x_j
-            own = sum((1 - 1 / k) * xs[i] ** 2 for i, k in enumerate(kv))
-            return cross + own
-
-        if len(kv) == 2:
-            x0 = ticks
-            grids = np.stack([x0, M - x0])
-            best = objective(grids).max()
-        elif len(kv) == 3:
-            a, b = np.meshgrid(ticks, ticks, indexing="ij")
-            c = M - a - b
-            mask = c >= -1e-9
-            best = np.where(mask, objective(np.stack([a, b, np.maximum(c, 0)])), -np.inf).max()
-        else:
-            a, b, c = np.meshgrid(ticks, ticks, ticks, indexing="ij")
-            d = M - a - b - c
-            mask = d >= -1e-9
-            best = np.where(
-                mask, objective(np.stack([a, b, c, np.maximum(d, 0)])), -np.inf
-            ).max()
+        best = grid_maximum(kv, M)
         opt = optimal_partition(kv, M)
         assert abs(float(opt.max_value) - float(best)) < 1e-6
 

@@ -16,8 +16,10 @@ walk that table in row chunks, scoring each chunk for all blocks of one
 first vertex at once, and never build the (n, m) table.
 The dense formulas f, f', f'', p and the entropy live here only, and so does
 `_bisect`, the one search loop behind the f'-argmin, the f' root m1 and the
-alpha and eta searches in `bounds`. `python3 cqbench/run.py` times the
-kernels through their callers.
+alpha and eta searches in `bounds`. The stationary branch F1 has one
+definition: f at m1, or at the f'-argmin where f' has no root. The endpoint
+branch F2 is f at m = alpha/2. `python3 cqbench/run.py` times the kernels
+through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -299,17 +301,6 @@ def _solve_m1_val(a, d, g, eta):
     return 0.5 * (lo + hi), True
 
 
-def _f1_val(a, d, g, eta, curve):
-    # F1(alpha) = f(m1(alpha), alpha). Without curve the stationary branch is
-    # definitional: no root of f' means no constraint from this branch, coded
-    # as F1 = +inf. curve clamps m to the f'-argmin instead, extending the
-    # curve continuously past the existence boundary.
-    m1, found = _solve_m1_val(a, d, g, eta)
-    if not found and not curve:
-        return math.inf
-    return _f_val(m1, a, d, g, eta)
-
-
 def min_critical_scan(lab: np.ndarray, size: int):
     """Exact (min critical count, argmin matching edges) over all size-`size`
     matchings of the labeled K_n given as a 0-based symmetric (n, n) int64
@@ -405,11 +396,15 @@ def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int) -> bool:
     return _dag_bound_core(indptr, indices, nv) < 0 and _has_cycle_core(indptr, indices, nv)
 
 
-def f1_values(alphas, delta, gamma, eta, curve=False):
-    """F1 = f(m1(alpha), alpha) at each alpha, as one float array: +inf where
-    f' has no root on [0, alpha/2], unless curve puts m1 at the f'-argmin."""
+def f1_values(alphas, delta, gamma, eta):
+    """F1 = f(m1(alpha), alpha) at each alpha, as one float array, with m1 the
+    first root of f' on [0, alpha/2], or the f'-argmin where f' has no root
+    there. At fixed m/alpha, f' falls as alpha grows, so m1 exists on some
+    [alpha_e, inf), and the argmin only extends F1 continuously below
+    alpha_e."""
     d, g, eta = float(delta), float(gamma), float(eta)
-    return np.array([_f1_val(float(a), d, g, eta, curve) for a in alphas])
+    return np.array([_f_val(_solve_m1_val(a, d, g, eta)[0], a, d, g, eta)
+                     for a in map(float, alphas)])
 
 
 def f2_values(alphas, delta, gamma, eta):

@@ -52,11 +52,11 @@ class DenseBoundQuery:
 class DenseSolution:
     """Solved dense bound: alpha0 = min(alpha1, alpha2) dominates the query.
 
-    m1/alpha1 are math.inf when the stationary branch contributes no root
-    (case reports which branch fired). alpha1_curve extends the stationary
-    curve continuously past the existence boundary by clamping m to the
-    f'-argmin; it equals alpha1 whenever that is finite and exists purely to
-    reproduce plotted/tabulated curves.
+    alpha1_curve is the root of the stationary curve F1 (f at m1, or at the
+    f'-argmin where f' has no root), as plotted and tabulated. alpha1 equals
+    it where m1 exists there; otherwise m1 and alpha1 are math.inf. A branch
+    with no root in floating point reads as math.inf, and only finite roots
+    have a bracket. case reports which branch gives alpha0.
     """
 
     m1: float
@@ -81,7 +81,7 @@ class DenseSolution:
             "alpha1": enc(self.alpha1),
             "alpha2": enc(self.alpha2),
             "m1": enc(self.m1),
-            "m2": self.m2,
+            "m2": enc(self.m2),
             "p_at_opt": self.p_at_opt,
             "case": self.case,
             "alpha1_curve": enc(self.alpha1_curve),
@@ -133,7 +133,15 @@ def corollary_alpha(delta: float, ell: int) -> float:
     return 1 + math.sqrt(1 - (2 - delta) ** 2 / denom)
 
 
+def _check_domain(gamma: float, eta: float) -> None:
+    if not (0.5 < eta <= 1.0):
+        raise ValueError(f"eta must lie in (1/2, 1], got {eta}")
+    if not (0.0 <= gamma <= 0.5):
+        raise ValueError(f"gamma must lie in [0, 1/2], got {gamma}")
+
+
 def _check_feasible(m: float, alpha: float, gamma: float, eta: float) -> None:
+    _check_domain(gamma, eta)
     if not (0.0 <= m <= alpha / 2):
         raise ValueError(f"m must lie in [0, alpha/2], got m={m}, alpha={alpha}")
     p = _kernels._p_val(m, alpha, gamma, eta)
@@ -160,6 +168,7 @@ def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     m, so locating its minimum (bisection on the sign of the second
     derivative) certifies "smallest": the first root, if any, lies left of
     the argmin."""
+    _check_domain(gamma, eta)
     m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta))
     return m if found else math.inf
 
@@ -194,12 +203,12 @@ def _descending_root(evaluate, upper: float):
     exceed the trivial bound). np.inf encodes "branch undefined here". The
     scan evaluates grid points from the top down and stops at the first sign
     change, so points below the root are never evaluated.
-    Returns (root, (lo, hi)) or (None, None) when the branch never crosses.
+    Returns (root, (lo, hi)), or (None, None) when the branch never crosses
+    in floating point, below or within 60 doublings above `upper`.
     """
     v_up = evaluate(upper)
     if math.isfinite(v_up) and v_up <= 0:
-        lo = upper
-        hi = upper
+        lo = hi = upper
         for _ in range(60):
             hi *= 2
             vh = evaluate(hi)
@@ -207,7 +216,7 @@ def _descending_root(evaluate, upper: float):
                 lo = hi
             elif math.isfinite(vh):
                 return _bisect_root(evaluate, lo, hi)
-        raise RootDiagnostic("no sign change found while expanding above the trivial bound")
+        return None, None
 
     # the grid starts at upper, whose value v_up is already known
     prev_alpha, prev_val = (upper, v_up) if math.isfinite(v_up) else (None, None)
@@ -224,51 +233,35 @@ def _descending_root(evaluate, upper: float):
 
 def dense_alpha_upper(query: DenseBoundQuery) -> DenseSolution:
     """Implicit dense bound: alpha1 from the stationary branch (m = m1(alpha)),
-    alpha2 from the endpoint branch (m = alpha/2), alpha0 = min."""
+    alpha2 from the endpoint branch (m = alpha/2), alpha0 = min. One scan of
+    F1 finds alpha1_curve; it is alpha1 when m1 exists there."""
     delta, eta = query.delta, query.eta
     gamma = resolve_gamma(query.ell)
     upper = trivial_dense_bound(eta)
 
-    def branch(values, **kw):
-        # one branch value per alpha, through the kernel attribute
-        return lambda a: float(values((a,), delta, gamma, eta, **kw)[0])
+    def root(values):
+        # the branch's root and bracket through the kernel attribute, or inf
+        r, bracket = _descending_root(lambda a: float(values((a,), delta, gamma, eta)[0]), upper)
+        return (math.inf, None) if r is None else (r, bracket)
 
-    alpha2, br2 = _descending_root(branch(_kernels.f2_values), upper)
-    if alpha2 is None:
-        raise RootDiagnostic("endpoint branch lost its root; this should be impossible")
-    alpha1, br1 = _descending_root(branch(_kernels.f1_values), upper)
-    if alpha1 is not None:
-        alpha1_curve = alpha1
-    else:
-        alpha1_curve, _ = _descending_root(branch(_kernels.f1_values, curve=True), upper)
-        if alpha1_curve is None:
-            alpha1_curve = math.inf
-
-    brackets = {"alpha2": br2}
-    if br1 is not None:
+    alpha2, br2 = root(_kernels.f2_values)
+    alpha1_curve, br1 = root(_kernels.f1_values)
+    m1 = solve_m1(alpha1_curve, delta, gamma, eta) if br1 else math.inf
+    alpha1 = alpha1_curve if m1 < math.inf else math.inf
+    brackets = {}
+    if br2:
+        brackets["alpha2"] = br2
+    if alpha1 < math.inf:
         brackets["alpha1"] = br1
 
-    m1 = solve_m1(alpha1, delta, gamma, eta) if alpha1 is not None else math.inf
-    if alpha1 is not None and alpha1 <= alpha2:
-        alpha0 = alpha1
-        case = "stationary"
-        p_opt = _kernels._p_val(m1, alpha1, gamma, eta)
+    if alpha1 <= alpha2:
+        case, p_opt = "stationary", _kernels._p_val(m1, alpha1, gamma, eta)
     else:
-        alpha0 = alpha2
-        case = "endpoint"
-        p_opt = _kernels._p_val(alpha2 / 2, alpha2, gamma, eta)
+        case, p_opt = "endpoint", _kernels._p_val(alpha2 / 2, alpha2, gamma, eta)
 
-    return DenseSolution(
-        m1=m1,
-        m2=alpha2 / 2,
-        alpha1=alpha1 if alpha1 is not None else math.inf,
-        alpha2=alpha2,
-        alpha0=alpha0,
-        p_at_opt=p_opt,
-        case=case,
-        alpha1_curve=alpha1_curve,
-        brackets=brackets,
-    )
+    # fields in order: m1, m2, alpha1, alpha2, alpha0, p_at_opt, case, alpha1_curve, brackets
+    return DenseSolution(m1, alpha2 / 2, alpha1, alpha2, min(alpha1, alpha2), p_opt, case,
+                         alpha1_curve, brackets)
 
 
 def alpha2_closed_form(ell, eta: float) -> float:
@@ -320,8 +313,8 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     with the clique closed form appended at eta = 1 when requested.
 
     Row dict keys: eta, ell, trivial, alpha0, alpha1, alpha2, m1, p_at_opt.
-    alpha1 reports the stationary curve (equal to the definitional alpha1
-    whenever that is finite); alpha0 stays definitional.
+    alpha1 reports alpha1_curve, the stationary curve's root; alpha0 is
+    min(alpha1, alpha2) with the definitional alpha1.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")

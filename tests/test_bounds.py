@@ -184,6 +184,20 @@ class TestDenseF:
         with pytest.raises(POutOfRange, match="p out of range"):
             dense_fprime(1.0, 2.0, 1.0, 0.5, 0.75)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: solve_m1(2, 1, 0.5, 1.2), "eta"),
+        (lambda: dense_f(0.3, 2, 1, 0.5, 1.2), "eta"),
+        (lambda: dense_fprime(0.3, 2, 1, 0.5, 1.2), "eta"),
+        (lambda: solve_m1(2, 1, 0.5, 0.5), "eta"),
+        (lambda: solve_m1(2, 1, 0.9, 0.9), "gamma"),
+        (lambda: dense_f(0.3, 2, 1, -0.1, 0.9), "gamma"),
+        (lambda: dense_fprime(0.3, 2, 1, 0.9, 0.9), "gamma"),
+    ])
+    def test_helpers_reject_eta_and_gamma_outside_the_model(self, call, match):
+        # eta in (1/2, 1] and gamma in [0, 1/2]; beyond them p can exceed 1
+        with pytest.raises(ValueError, match=f"{match} must lie in"):
+            call()
+
     def test_fprime_matches_finite_difference(self):
         h = 1e-7
         for m, alpha, delta, gamma, eta in (
@@ -379,6 +393,22 @@ class TestDenseAlphaUpper:
         assert sol.case == "endpoint"
         assert round(sol.alpha1_curve, 4) == round(sol.alpha2, 4) == 2.2836
 
+    @pytest.mark.parametrize("eta", [0.750000001, 0.75 + 1e-13])
+    def test_eta_near_three_quarters_answers(self, eta):
+        # the endpoint root delta/((1 - gamma)(1 - H(2 eta - 1))) is above 1e17
+        # and 1 - H(p) is below float resolution, so F2 never changes sign;
+        # at 3/4 + 1e-13, p sits under the kernel's floor and F2 is undefined
+        sol = dense_alpha_upper(DenseBoundQuery(delta=1.0, ell=INFINITE, eta=eta))
+        assert sol.alpha2 == sol.m2 == math.inf
+        assert "alpha2" not in sol.brackets
+        assert sol.case == "stationary"
+        assert sol.alpha0 == sol.alpha1 == sol.alpha1_curve
+        assert abs(sol.alpha1 - 10.1486) < 1e-4 and sol.alpha1 < trivial_dense_bound(eta)
+        assert abs(dense_f(sol.m1, sol.alpha1, 1.0, 0.5, eta)) < 1e-8
+        if eta == 0.75 + 1e-13:  # p = (eta - gamma)/(1 - gamma) at m = alpha/2, any alpha
+            alphas = np.linspace(1.0, 1e6, 101)
+            assert np.all(_kernels.f2_values(alphas, 1.0, 0.5, eta) == math.inf)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DenseBoundQuery(delta=1.0, ell=3, eta=0.74)
@@ -429,6 +459,12 @@ class TestDensityThreshold:
     def test_headline(self):
         eta = density_threshold(1.0, INFINITE, 2.0)
         assert abs(eta - 0.98226) < 5e-5
+
+    def test_target_at_an_end_returns_that_end(self):
+        lo = 0.75 + 1e-6
+        for eta in (1.0, lo):
+            target = dense_alpha_upper(DenseBoundQuery(delta=1.0, ell=INFINITE, eta=eta)).alpha0
+            assert density_threshold(1.0, INFINITE, target) == eta
 
     def test_no_crossing(self):
         target = trivial_dense_bound(0.750001) + 0.1

@@ -74,6 +74,18 @@ class TestThinAdapter:
         assert payload["m1"] == sol.m1
         assert payload["case"] == sol.case
 
+    @pytest.mark.parametrize("eta", ["0.750000001", repr(0.75 + 1e-13)])
+    def test_dense_json_without_an_endpoint_root(self, capsys, eta):
+        # alpha2 and m2 have no float root and print as "inf"; strict JSON
+        code, out, _ = run(capsys, "bounds", "dense", "--delta", "1", "--ell", "inf",
+                           "--eta", eta, "--output", "json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict {name}"))
+        assert payload["alpha2"] == payload["m2"] == "inf"
+        assert set(payload["brackets"]) == {"alpha1"}
+        assert payload["alpha0"] == payload["alpha1"]
+        assert abs(payload["alpha1"] - 10.1486) < 1e-4
+
     def test_dense_plain_prints_alpha0(self, capsys):
         code, out, _ = run(capsys, "bounds", "dense", "--delta", "1", "--ell", "2",
                            "--eta", "0.93", "--output", "plain")

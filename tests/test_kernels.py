@@ -4,12 +4,14 @@ and the itertools path oracle of tests/test_alternating.py. There is one
 build of the kernels, so these check the public entry points against the
 cores they call; a chain of 2,000 red edges checks that the walker is not
 recursive. The dense F1/F2 batch wrappers are checked against closed forms
-and one-alpha calls. The matching scans are checked here against a digest of
-their outputs recorded with the earlier partner-table scans, and on random
-labelings against count_critical over every matching (minimum) and a sort
-of every matching's labels (anti-lex), at several chunk lengths; a fresh
-process bounds the peak memory of K_16 scans. tests/test_labeled_graphs.py
-checks them against itertools oracles too.
+and one-alpha calls, F1 without an f' root against f at the f'-argmin, and
+16 dense solves against a digest of their reprs. The matching scans are
+checked here against a digest of their outputs recorded with the earlier
+partner-table scans, and on random labelings against count_critical over
+every matching (minimum) and a sort of every matching's labels (anti-lex),
+at several chunk lengths; a fresh process bounds the peak memory of K_16
+scans. tests/test_labeled_graphs.py checks them against itertools oracles
+too.
 """
 import contextlib
 import gc
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import _kernels as K
+from cqlab.bounds import DenseBoundQuery, dense_alpha_upper
 from cqlab.common import INFINITE
 from cqlab.errors import CyclePresent
 from cqlab.alternating import (
@@ -304,6 +307,8 @@ class TestDigraphBound:
 
 
 class TestDenseEvalParity:
+    DENSE_DIGEST = "2348b4f151839c30727d51458406d7ef73055be7d2ff137fedee9e5576d7afda"
+
     @pytest.mark.parametrize(
         "delta,gamma,eta",
         [(1.0, 0.5, 0.951), (1.0, 0.25, 0.93), (1.5, 0.375, 0.9), (2.0, 0.5, 0.97)],
@@ -324,21 +329,28 @@ class TestDenseEvalParity:
         finite = np.isfinite(f)
         assert np.array_equal(finite, np.isfinite(f2))
         assert np.allclose(f2[finite], f[finite], rtol=0, atol=1e-12)
-        # one batched F1 call equals one call per alpha, on both branches
-        for curve in (False, True):
-            batch = K.f1_values(alphas, delta, gamma, eta, curve=curve)
-            single = np.array([K.f1_values(np.array([a]), delta, gamma, eta, curve=curve)[0]
-                               for a in alphas])
-            assert batch.shape == alphas.shape
-            assert np.array_equal(batch, single)
+        # one batched F1 call equals one call per alpha
+        batch = K.f1_values(alphas, delta, gamma, eta)
+        single = np.array([K.f1_values(np.array([a]), delta, gamma, eta)[0] for a in alphas])
+        assert batch.shape == alphas.shape
+        assert np.array_equal(batch, single)
 
-    def test_curve_extends_where_definitional_is_inf(self):
-        # two labels past the stationary threshold: curve finite, branch inf
-        alphas = np.array([2.2836])
-        f_def = K.f1_values(alphas, 1.0, 0.25, 0.937)
-        f_cur = K.f1_values(alphas, 1.0, 0.25, 0.937, curve=True)
-        assert not np.isfinite(f_def[0])
-        assert np.isfinite(f_cur[0])
+    def test_f1_at_the_argmin_where_fprime_has_no_root(self):
+        # two labels past the stationary threshold: f' > 0 on [0, alpha/2], so
+        # F1 is f at the f'-argmin, finite
+        a, d, g, eta = 2.2836, 1.0, 0.25, 0.937
+        assert K._solve_m1_val(a, d, g, eta)[1] is False
+        f1 = K.f1_values(np.array([a]), d, g, eta)[0]
+        assert math.isfinite(f1)
+        assert f1 == K._f_val(K._argmin_fprime(a, d, g, eta), a, d, g, eta)
+
+    def test_dense_solutions_pinned(self):
+        # every field and bracket of 16 solves, recorded before F1 had one
+        # definition; the two-label rows at eta >= 0.937 have no stationary root
+        text = "\n".join(
+            repr(dense_alpha_upper(DenseBoundQuery(delta=d, ell=ell, eta=eta)))
+            for d in (1.0, 1.5) for ell in (2, INFINITE) for eta in (0.93, 0.937, 0.95, 0.99))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DENSE_DIGEST
 
     def test_backend_reported(self):
         assert K.BACKEND == "numpy"

@@ -160,10 +160,18 @@ def construction_blue_count(g: RedBlueGraph, skip_top_left_clique: bool) -> int:
 
 
 def beta_bruteforce(k: int, x: int) -> int:
-    """Exact beta(k, x): the largest size with a feasible blue-edge subset,
-    trying every subset of each size from the largest down. Guarded: the number
-    of candidate blue pairs 2x(x-1) must stay within the cap (default 12,
-    i.e. x <= 3; override via CQLAB_BRUTE_CAP)."""
+    """Exact beta(k, x): the largest feasible blue-edge subset, by a
+    depth-first search over the feasible family. Feasible sets (no
+    alternating cycle, every alternating path below k blue edges) are closed
+    under deleting blue edges, so adding candidate pairs in index order and
+    descending only while the set stays feasible visits every feasible set;
+    a branch stops once its size plus the candidates left cannot pass the
+    best so far. Permuting the red edges and swapping the ends of each acts
+    transitively on the candidate pairs, so a nonempty maximum may be taken
+    to hold the first pair (1, 3), and beta is 0 when that edge alone is
+    infeasible. Guarded: the number of candidate blue pairs 2x(x-1) must
+    stay within the cap (default 12, i.e. x <= 3). CQLAB_BRUTE_CAP overrides
+    this cap and the matching scans' cap on N alike."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 1:
@@ -178,13 +186,28 @@ def beta_bruteforce(k: int, x: int) -> int:
         if red_partner(u) != v
     ]
     assert len(candidates) == ncand
-    # largest size first: the first feasible size is the maximum
-    for size in range(ncand, 0, -1):
-        for chosen in itertools.combinations(candidates, size):
-            # the candidates are valid blue edges; the kernel answers -1 on a cycle
-            if 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k:
-                return size
-    return 0
+
+    def feasible(chosen):
+        # the candidates are valid blue edges; the kernel answers -1 on a cycle
+        return 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k
+
+    best = 0
+
+    def grow(chosen, nxt):
+        # chosen is feasible and holds candidates below nxt only
+        nonlocal best
+        best = max(best, len(chosen))
+        for j in range(nxt, ncand):
+            if len(chosen) + ncand - j <= best:
+                return
+            chosen.append(candidates[j])
+            if feasible(chosen):
+                grow(chosen, j + 1)
+            chosen.pop()
+
+    if candidates and feasible(candidates[:1]):
+        grow(candidates[:1], 1)
+    return best
 
 
 def redblue_to_text(g: RedBlueGraph) -> str:

@@ -203,11 +203,12 @@ def count_critical(labeling: EdgeLabeling, matching: Matching) -> CriticalReport
     N, so outward critical edges can push the raw count past the denominator
     on partial matchings; both are reported."""
     _validate(labeling, matching)
+    labels = labeling._m.tolist()  # labels[u][v], 1-based, read without label()'s checks
     partner = matching.partner_map()
     edge_label = {}
     clazz = {}
     for a, b in matching.edges:
-        lv = labeling.label(a, b)
+        lv = labels[a][b]
         edge_label[a] = edge_label[b] = lv
         clazz.setdefault(lv, set()).update((a, b))
     total = outward = inner = 0
@@ -220,7 +221,7 @@ def count_critical(labeling: EdgeLabeling, matching: Matching) -> CriticalReport
         cv = v in partner
         if not (cu or cv):
             continue
-        lab = labeling.label(u, v)
+        lab = labels[u][v]
         crit = (cu and edge_label[u] > lab) or (cv and edge_label[v] > lab)
         if not crit:
             continue

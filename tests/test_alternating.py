@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -235,6 +236,21 @@ class TestConstructionsPinned:
         assert hashlib.sha256(redblue_to_text(g).encode()).hexdigest() == digest
 
 
+def beta_by_size(k, x):
+    """beta(k, x) by the search the depth-first one replaced: every subset
+    of the 2x(x-1) candidate pairs, largest size first, so the first
+    feasible size is the maximum."""
+    nv = 2 * x
+    candidates = [(u, v) for u in range(1, nv + 1) for v in range(u + 1, nv + 1)
+                  if red_partner(u) != v]
+    for size in range(len(candidates), 0, -1):
+        for chosen in itertools.combinations(candidates, size):
+            g = RedBlueGraph(num_red=x, blue_edges=frozenset(chosen))
+            if not has_alternating_cycle(g) and max_blue_in_alternating_path(g) < k:
+                return size
+    return 0
+
+
 class TestBetaBruteforce:
     def test_paper_values(self):
         assert beta_bruteforce(1, 2) == 0
@@ -252,6 +268,23 @@ class TestBetaBruteforce:
             assert beta_bruteforce(k, x) >= len(g.blue_edges)
         g = build_odd_k(3, 3)
         assert beta_bruteforce(3, 3) >= len(g.blue_edges)
+
+    def test_equals_size_descending_search(self):
+        for k in range(1, 7):
+            for x in range(1, 4):
+                assert beta_bruteforce(k, x) == beta_by_size(k, x), (k, x)
+
+    def test_x4_values_pinned(self, monkeypatch):
+        # 24 candidate pairs, above the default cap; each value is at least
+        # the blue count of its construction, and beta(3, 4) and beta(4, 4)
+        # exceed theirs (9 and 10)
+        monkeypatch.setenv("CQLAB_BRUTE_CAP", "24")
+        beta = [beta_bruteforce(k, 4) for k in (2, 3, 4, 5)]
+        assert beta == [6, 10, 12, 12]
+        blue = [len(build_even_k(2, 4).blue_edges), len(build_odd_k(3, 4).blue_edges),
+                len(build_even_k(4, 4).blue_edges)]
+        assert blue == [6, 9, 10]
+        assert all(b >= c for b, c in zip(beta, blue))
 
     def test_cap_guard(self):
         with pytest.raises(InstanceTooLarge, match="instance too large"):

@@ -10,7 +10,9 @@ checked here against a digest of their outputs recorded with the earlier
 partner-table scans, and on random labelings against count_critical over
 every matching (minimum) and a sort of every matching's labels (anti-lex),
 at several chunk lengths; a fresh process bounds the peak memory of K_16
-scans. tests/test_labeled_graphs.py checks them against itertools oracles
+scans. Scans on a cleared and on a warm block-table memo agree, the kept
+tables are read-only, and K_16 scans keep none above the memo's row cap.
+tests/test_labeled_graphs.py checks the scans against itertools oracles
 too.
 """
 import contextlib
@@ -194,6 +196,50 @@ class TestMatchingScans:
                              text=True, check=True, timeout=60).stdout.split()
         assert out[:2] == ["24", "32"]
         assert int(out[2]) < 120 * 1024
+
+
+class TestBlocksMemo:
+    # _first_edge_blocks keeps its tables per (n, m) when the (n-2, m-1)
+    # table has at most _MEMO_ROWS rows
+
+    def test_cold_and_warm_scans_agree(self):
+        # every scan on a cleared memo builds its tables afresh; a memo warm
+        # with every size of K_n must give each size its own tables
+        rng = random.Random(18)
+        for n in range(6, 15):
+            lab = random_labeling(n, rng.choice([2, 3, 4, INFINITE]), seed=rng.randrange(10**6))
+            lab = lab.matrix0()
+            sizes = range(1, n // 2 + 1)
+
+            def scans(cold):
+                out = []
+                for size in sizes:
+                    if cold:
+                        K._blocks_memo.clear()
+                    count, edges = K.min_critical_scan(lab, size)
+                    if cold:
+                        K._blocks_memo.clear()
+                    out.append((count, edges.tolist(), K.anti_lex_scan(lab, size).tolist()))
+                return out
+
+            cold = scans(True)
+            scans(False)
+            assert all((n, size) in K._blocks_memo for size in sizes)
+            assert scans(False) == cold
+
+    def test_kept_arrays_are_read_only(self):
+        K.min_critical_scan(random_labeling(10, 3, seed=1).matrix0(), 4)
+        for arr in K._blocks_memo[10, 4]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_k16_keeps_no_entry_above_the_row_cap(self):
+        lab = make_construction("two", 16).matrix0()
+        assert K.min_critical_scan(lab, 7)[0] == 24
+        assert K.min_critical_scan(lab, 8)[0] == 32
+        assert all(len(sub) <= K._MEMO_ROWS for *_, sub in K._blocks_memo.values())
+        assert (16, 7) not in K._blocks_memo and (16, 8) not in K._blocks_memo
+        assert len(K._blocks_memo[14, 6][3]) == 62370  # the largest kept table
 
 
 def _random_graph(rng, max_x):

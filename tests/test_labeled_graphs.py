@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from cqlab.labeled_graphs import (
     LEX_INFINITE,
     THREE_LABEL,
     TWO_LABEL,
+    CriticalReport,
     EdgeLabeling,
     Matching,
     _exchange_has_negative_cycle,
@@ -64,6 +66,43 @@ def oracle_count(labeling, matching):
             if oracle_critical(labeling, matching, u, v):
                 total += 1
     return total
+
+
+def per_pair_count_critical(labeling, matching):
+    """count_critical as it read every label through labeling.label(u, v),
+    one checked call per pair; the reference for the list-reading version."""
+    partner = matching.partner_map()
+    edge_label = {}
+    clazz = {}
+    for a, b in matching.edges:
+        lv = labeling.label(a, b)
+        edge_label[a] = edge_label[b] = lv
+        clazz.setdefault(lv, set()).update((a, b))
+    total = outward = inner = 0
+    per_class = {lv: 0 for lv in clazz}
+    medges = set(matching.edges)
+    for u, v in labeling.pairs():
+        if (u, v) in medges:
+            continue
+        cu = u in partner
+        cv = v in partner
+        if not (cu or cv):
+            continue
+        lab = labeling.label(u, v)
+        crit = (cu and edge_label[u] > lab) or (cv and edge_label[v] > lab)
+        if not crit:
+            continue
+        total += 1
+        if cu and cv:
+            inner += 1
+            if edge_label[u] == edge_label[v]:
+                per_class[edge_label[u]] += 1
+        else:
+            outward += 1
+    denom = math.comb(2 * matching.size, 2)
+    return CriticalReport(critical_count=total, outward_count=outward, inner_count=inner,
+                          denominator=denom, ratio=Fraction(total, denom),
+                          per_label_class=per_class)
 
 
 def oracle_all_matchings(n, size):
@@ -167,6 +206,25 @@ class TestCountCritical:
         verts = rng.sample(range(1, n + 1), 2 * size)
         m = Matching(tuple(zip(verts[0::2], verts[1::2])))
         assert count_critical(lab, m).critical_count == oracle_count(lab, m)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_per_pair_reference(self, seed):
+        # every field, and the per-class keys in the same order, on random
+        # labelings of K_2..K_14 (constructions included) and random partial
+        # or perfect matchings
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        ell = rng.choice([1, 2, 3, 4, INFINITE])
+        if n >= 12 and rng.random() < 0.3:
+            lab = make_construction(rng.choice([TWO_LABEL, THREE_LABEL, FOUR_LABEL]), n)
+        else:
+            lab = random_labeling(n, ell, seed=seed)
+        verts = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
+        m = Matching(tuple(zip(verts[0::2], verts[1::2])))
+        rep, ref = count_critical(lab, m), per_pair_count_critical(lab, m)
+        assert rep == ref
+        assert list(rep.per_label_class.items()) == list(ref.per_label_class.items())
 
 
 class TestPairAndSwitch:

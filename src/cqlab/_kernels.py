@@ -20,10 +20,16 @@ then take 1.72 MiB together and the 57 with n <= 16 (the default matching
 cap) 2.29 MiB; the K_16 tables of sizes 5-8 are rebuilt on every call.
 The dense formulas f, f', f'', p and the entropy live here only, and so does
 `_bisect`, the one search loop behind the f'-argmin, the f' root m1 and the
-alpha and eta searches in `bounds`. The stationary branch F1 has one
-definition: f at m1, or at the f'-argmin where f' has no root. The endpoint
-branch F2 is f at m = alpha/2. `python3 cqbench/run.py` times the kernels
-through their callers.
+alpha and eta searches in `bounds`. The argmin and m1 searches pass it a
+certified window: f'' depends on m/alpha alone, so the argmin window comes
+from one search per (gamma, eta) at alpha = 1, and the m1 window is centred
+at Newton's iterate from m = 0. A window end counts only when its value has
+the right sign with a margin of 16 times a stated rounding bound (see
+_MARGIN); otherwise it is -inf or inf. The bisection evaluates only inside
+the window and returns the plain bisection's floats. The stationary branch F1
+has one definition: f at m1, or at the f'-argmin where f' has no root. The
+endpoint branch F2 is f at m = alpha/2. `python3 cqbench/run.py` times the
+kernels through their callers.
 
 Encodings used throughout:
   * labelings: contiguous (n, n) int64 matrix, vertices 0-based, symmetric;
@@ -36,6 +42,7 @@ Encodings used throughout:
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -292,26 +299,127 @@ def _fsecond_val(m, a, d, g, eta):
     return -4.0 * g * (1.0 + math.log2(N / D)) + 8.0 * g * q * A * (1.0 - eta) / (D * N * _LN2)
 
 
-def _bisect(below, lo, hi, tol):
-    # Halves [lo, hi] down to width tol, or until float spacing runs out,
-    # moving lo to the midpoint wherever below(mid) holds and hi elsewhere;
-    # returns the final (lo, hi). The one search loop of the dense solver.
+def _bisect(below, lo, hi, tol, window=(-math.inf, math.inf)):
+    """Halves [lo, hi] down to width tol, or until float spacing runs out,
+    moving lo to the midpoint wherever below(mid) holds and hi elsewhere;
+    returns the final (lo, hi). The one search loop of the dense solver.
+
+    window = (l, h) is the caller's certificate that below(m) holds for every
+    m <= l and fails for every m >= h (the dense callers count an end only
+    when its value clears a margin above the rounding bound, see _MARGIN);
+    an end it could not certify is -inf or inf, and the default is the plain
+    bisection. Only midpoints inside (l, h) call below, so every decision,
+    and the returned pair, is the plain bisection's."""
+    l, h = window
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if below(mid):
+        if mid <= l or (mid < h and below(mid)):
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
+# Certified windows for the f'-argmin and m1 searches. With u = 2^-53 and
+# kappa = (eta + g)/(eta - g), which bounds the cancellation in eta A - q, a
+# first-order count of the roundings (log2 within one ulp) puts _fprime_val
+# within 32 kappa u (4 g m + |2 - d|) of its exact value, and _fsecond_val
+# within 32 kappa u (4 g + 8 g^2 (1 - eta) / ((1 - g)(eta - g) ln 2)), for
+# eta in (1/2, 1], g in [0, 1/2] and 0 <= m <= a/2. The sums are the
+# magnitudes of the terms, so the bound for f' grows with m. A window end
+# counts only when its value has the right sign and exceeds _MARGIN kappa
+# times that sum, 16 times the bound: twice the bound is what covers the end
+# and any point on its side. Windows are built only for a in _ALPHA_RANGE and
+# g >= _G_MIN, where no intermediate of either kernel leaves the normal float
+# range at the points the searches evaluate, so the count holds.
+_MARGIN = 2.0 ** -44
+_ALPHA_RANGE = (2.0 ** -20, 2.0 ** 70)
+_G_MIN = 2.0 ** -20
+_NEWTON_CAP = 16
+_NEWTON_STEP = 2.0 ** -24  # relative step at which Newton's iterate is taken as m1
+
+
+@functools.lru_cache(maxsize=256)
+def _argmin_shape(g, eta):
+    # f'' depends on t = m/a alone (N/D and q A/(D N) are ratios of degree-2
+    # terms), so the f'-argmin is a * t*(g, eta). Returns (t_l, t_h): f'' at
+    # a = 1 is below -margin at t_l and above margin at t_h, the nearest such
+    # points among t* -+ 2^-50, 2^-49, ...; t_h >= 1/2 needs no value, since
+    # no midpoint reaches a/2. An end with no such point is -inf or inf.
+    margin = _MARGIN * (eta + g) / (eta - g) * (
+        4.0 * g + 8.0 * g * g * (1.0 - eta) / ((1.0 - g) * (eta - g) * _LN2))
+
+    def fs(t):
+        return _fsecond_val(t, 1.0, 0.0, g, eta)
+
+    lo, hi = _bisect(lambda t: fs(t) < 0.0, 0.0, 0.5, 1e-13)
+    t = 0.5 * (lo + hi)
+    tl, th, w = -math.inf, math.inf, 2.0 ** -50
+    while w < 0.5 and (tl == -math.inf or th == math.inf):
+        if tl == -math.inf and t - w > 0.0 and fs(t - w) < -margin:
+            tl = t - w
+        if th == math.inf and (t + w >= 0.5 or fs(t + w) > margin):
+            th = t + w
+        w *= 2.0
+    return tl, th
+
+
+def _argmin_window(a, g, eta):
+    # _argmin_shape's ends scaled to a, each rounded outward past a * t: f''
+    # is nondecreasing in t (f' is convex), so the signs certified at a = 1
+    # hold on either side, and the rounding bound is the same at every a in
+    # _ALPHA_RANGE
+    if not (_ALPHA_RANGE[0] <= a <= _ALPHA_RANGE[1] and g >= _G_MIN):
+        return -math.inf, math.inf
+    tl, th = _argmin_shape(g, eta)
+    return math.nextafter(a * tl, -math.inf), math.nextafter(a * th, math.inf)
+
+
 def _argmin_fprime(a, d, g, eta):
     # f' is convex in m (the suite certifies this numerically), so f''
     # changes sign at most once on [0, a/2], at the argmin of f'.
-    lo, hi = _bisect(lambda m: _fsecond_val(m, a, d, g, eta) < 0.0, 0.0, 0.5 * a, 1e-13)
+    lo, hi = _bisect(lambda m: _fsecond_val(m, a, d, g, eta) < 0.0, 0.0, 0.5 * a, 1e-13,
+                     _argmin_window(a, g, eta))
     return 0.5 * (lo + hi)
+
+
+def _m1_window(a, d, g, eta, mstar, vstar):
+    # Newton on f' from m = 0 with slope f''. f' is convex and decreasing on
+    # [0, mstar], so Newton climbs to the first root without passing it. The
+    # window is centred at the last iterate. Its left end l counts when
+    # f'(l) > margin and l lies where the argmin window certifies f'' < 0, so
+    # f' only grows to the left of l. Its right end h counts when f'(h) and
+    # vstar = f'(mstar) are both below -margin: convex f' stays under its
+    # chord on [h, mstar], and the bound is linear in m.
+    l_arg = _argmin_window(a, g, eta)[0]
+    if not l_arg > 0.0:
+        return -math.inf, math.inf
+    c0 = 2.0 - d
+    k = _MARGIN * (eta + g) / (eta - g)
+    m, v = 0.0, c0
+    for _ in range(_NEWTON_CAP):
+        s = _fsecond_val(m, a, d, g, eta)
+        if not s < 0.0:
+            return -math.inf, math.inf
+        step = -v / s
+        if not m + step < mstar:
+            break
+        m += step
+        if step <= _NEWTON_STEP * (1.0 + m):
+            break
+        v = _fprime_val(m, a, d, g, eta)
+        if not v > 0.0:
+            break
+    w = max(2.0 * k * (4.0 * g * m + c0) / -s, M_TOL)
+    l, h = m - w, m + w
+    if not (0.0 < l <= l_arg and _fprime_val(l, a, d, g, eta) > k * (4.0 * g * l + c0)):
+        l = -math.inf
+    if not (h < mstar and vstar < -k * (4.0 * g * mstar + c0)
+            and _fprime_val(h, a, d, g, eta) < -k * (4.0 * g * h + c0)):
+        h = math.inf
+    return l, h
 
 
 def _solve_m1_val(a, d, g, eta):
@@ -320,9 +428,11 @@ def _solve_m1_val(a, d, g, eta):
     if 2.0 - d <= 0.0:
         return 0.0, True
     mstar = _argmin_fprime(a, d, g, eta)
-    if _fprime_val(mstar, a, d, g, eta) > 0.0:
+    vstar = _fprime_val(mstar, a, d, g, eta)
+    if vstar > 0.0:
         return mstar, False
-    lo, hi = _bisect(lambda m: _fprime_val(m, a, d, g, eta) > 0.0, 0.0, mstar, M_TOL)
+    lo, hi = _bisect(lambda m: _fprime_val(m, a, d, g, eta) > 0.0, 0.0, mstar, M_TOL,
+                     _m1_window(a, d, g, eta, mstar, vstar))
     return 0.5 * (lo + hi), True
 
 

@@ -8,6 +8,7 @@ alternating cycle and no alternating path carrying k or more blue edges.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -61,9 +62,15 @@ class RedBlueGraph:
     def num_vertices(self) -> int:
         return 2 * self.num_red
 
-    def csr(self) -> tuple[list[int], list[int]]:
-        """0-based blue adjacency in CSR form (indptr, indices) for the kernels."""
-        return _csr(self.num_vertices, sorted(self.blue_edges))
+    @functools.cached_property
+    def _blue_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        indptr, indices = _csr(self.num_vertices, sorted(self.blue_edges))
+        return tuple(indptr), tuple(indices)
+
+    def csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """0-based blue adjacency in CSR form (indptr, indices) for the kernels,
+        built once per graph: the graph is frozen, so the tuples are shared."""
+        return self._blue_csr
 
 
 def has_alternating_cycle(g: RedBlueGraph) -> bool:

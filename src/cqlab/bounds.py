@@ -167,7 +167,13 @@ def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     math.inf when the derivative stays positive. The derivative is convex in
     m, so locating its minimum (bisection on the sign of the second
     derivative) certifies "smallest": the first root, if any, lies left of
-    the argmin."""
+    the argmin. Both bisections run inside a certified window, which only
+    skips evaluations: the argmin window comes from m/alpha, on which the
+    second derivative alone depends, and the root window is centred at
+    Newton's iterate from m = 0. An end counts only when its sign holds with
+    a margin above the kernels' rounding bound; an end that fails is
+    dropped, and the search is the plain bisection on that side. The result
+    is the plain bisection's, float for float."""
     _check_domain(gamma, eta)
     m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta))
     return m if found else math.inf

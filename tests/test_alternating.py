@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import _kernels, alternating
 from cqlab.alternating import (
     RedBlueGraph,
     beta_bruteforce,
@@ -303,6 +304,35 @@ class TestBetaBruteforce:
             beta_bruteforce(0, 2)
         with pytest.raises(ValueError):
             beta_bruteforce(2, 0)
+
+
+class TestBlueCsr:
+    @pytest.mark.parametrize("g", [
+        build_even_k(4, 12),
+        build_odd_k(5, 7),
+        RedBlueGraph(num_red=3, blue_edges=frozenset({(1, 3), (4, 5), (6, 2)})),
+    ], ids=["even", "odd", "six-cycle"])
+    def test_built_once_per_graph(self, g, monkeypatch):
+        builds = []
+
+        def counted(nv, edges):
+            builds.append(nv)
+            return fresh(nv, edges)
+
+        fresh = alternating._csr
+        monkeypatch.setattr(alternating, "_csr", counted)
+        # the answers of the kernels over lists built for each call
+        indptr, indices = fresh(g.num_vertices, sorted(g.blue_edges))
+        cycle = _kernels.alt_cycle_exists(indptr, indices, g.num_vertices)
+        assert has_alternating_cycle(g) is cycle
+        if cycle:
+            with pytest.raises(CyclePresent):
+                max_blue_in_alternating_path(g)
+        else:
+            best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+            assert max_blue_in_alternating_path(g) == best
+        assert g.csr() == (tuple(indptr), tuple(indices))
+        assert builds == [g.num_vertices]
 
 
 class TestRedBlueValidation:

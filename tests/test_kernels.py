@@ -5,7 +5,10 @@ build of the kernels, so these check the public entry points against the
 cores they call; a chain of 2,000 red edges checks that the walker is not
 recursive. The dense F1/F2 batch wrappers are checked against closed forms
 and one-alpha calls, F1 without an f' root against f at the f'-argmin, and
-16 dense solves against a digest of their reprs. The matching scans are
+16 dense solves against a digest of their reprs. The certified windows of
+the f'-argmin and m1 searches are checked against the windowless bisection
+written out here, on random points and on each fallback route, and m1's
+evaluation count is bounded. The matching scans are
 checked here against a digest of their outputs recorded with the earlier
 partner-table scans, and on random labelings against count_critical over
 every matching (minimum) and a sort of every matching's labels (anti-lex),
@@ -400,3 +403,155 @@ class TestDenseEvalParity:
 
     def test_backend_reported(self):
         assert K.BACKEND == "numpy"
+
+
+def plain_argmin(a, d, g, eta):
+    # the f'-argmin by the windowless bisection over [0, a/2]
+    lo, hi = K._bisect(lambda m: K._fsecond_val(m, a, d, g, eta) < 0.0, 0.0, 0.5 * a, 1e-13)
+    return 0.5 * (lo + hi)
+
+
+def plain_m1(a, d, g, eta):
+    # m1 by the windowless bisection over [0, argmin], the reference for the
+    # certified windows
+    if 2.0 - d <= 0.0:
+        return 0.0, True
+    mstar = plain_argmin(a, d, g, eta)
+    if K._fprime_val(mstar, a, d, g, eta) > 0.0:
+        return mstar, False
+    lo, hi = K._bisect(lambda m: K._fprime_val(m, a, d, g, eta) > 0.0, 0.0, mstar, K.M_TOL)
+    return 0.5 * (lo + hi), True
+
+
+def _tangent_delta(a, g, eta):
+    # delta that puts f' = 0 at the f'-argmin, to rounding
+    mstar = K._argmin_fprime(a, 1.0, g, eta)
+    return 2.0 - 4.0 * g * mstar * (1.0 + math.log2(K._p_val(mstar, a, g, eta)))
+
+
+class TestCertifiedWindows:
+    """The windowed searches return the windowless bisection's floats."""
+
+    def test_bisect_calls_below_only_inside_the_window(self):
+        # midpoints 0.5 and 0.25 land on the window's ends and are decided
+        # without a call; the pair is the plain bisection's
+        seen = []
+
+        def below(m):
+            seen.append(m)
+            return m < 0.3
+
+        plain = K._bisect(below, 0.0, 1.0, 1e-9)
+        seen.clear()
+        assert K._bisect(below, 0.0, 1.0, 1e-9, (0.25, 0.5)) == plain
+        assert seen and all(0.25 < m < 0.5 for m in seen)
+
+    def test_random_points_equal_the_plain_bisection(self):
+        rng = random.Random(7)
+        for _ in range(6000):
+            a = 10.0 ** rng.uniform(0.0, 12.0)
+            d = rng.uniform(1.0, 2.0)
+            g = rng.choice([0.0, 0.25, 0.375, 0.5, rng.uniform(0.0, 0.5)])
+            eta = rng.choice([1.0, 1.0 - 0.5 * rng.random()])  # uniform on (1/2, 1]
+            assert K._argmin_fprime(a, d, g, eta) == plain_argmin(a, d, g, eta)
+            assert K._solve_m1_val(a, d, g, eta) == plain_m1(a, d, g, eta)
+
+    def test_gamma_zero_has_no_window(self):
+        # f'' = 0 certifies no side, and f' = 2 - delta has no root
+        assert K._argmin_window(2.4, 0.0, 0.93) == (-math.inf, math.inf)
+        for a, d in ((2.4, 1.0), (7.5, 1.9)):
+            assert K._argmin_fprime(a, d, 0.0, 0.93) == plain_argmin(a, d, 0.0, 0.93)
+            assert K._solve_m1_val(a, d, 0.0, 0.93) == plain_m1(a, d, 0.0, 0.93)
+
+    @pytest.mark.parametrize("a,g,eta", [(3.0, 0.25, 0.9), (2.4, 0.5, 1.0), (40.0, 0.375, 1.0)])
+    def test_argmin_at_half_alpha(self, a, g, eta):
+        # f'' < 0 on all of [0, a/2]: the right end lies past a/2, where no
+        # midpoint reaches, and only the left end is evaluated
+        l, h = K._argmin_window(a, g, eta)
+        assert 0.0 < l < 0.5 * a <= h
+        assert 0.5 * a - K._argmin_fprime(a, 1.0, g, eta) < 1e-12
+        for d in (1.0, 1.5, _tangent_delta(a, g, eta)):
+            assert K._argmin_fprime(a, d, g, eta) == plain_argmin(a, d, g, eta)
+            assert K._solve_m1_val(a, d, g, eta) == plain_m1(a, d, g, eta)
+
+    @pytest.mark.parametrize("a,g,eta", [(1.5, 0.375, 0.76), (2.0, 0.5, 0.8), (2.5, 0.4375, 0.8)])
+    def test_near_tangent_fprime(self, a, g, eta):
+        # delta in [1, 2] puts f' = 0 at an interior argmin, to rounding
+        l_arg, h_arg = K._argmin_window(a, g, eta)
+        mstar = K._argmin_fprime(a, 1.0, g, eta)
+        assert 0.0 < l_arg < mstar < h_arg < 0.5 * a
+        d = _tangent_delta(a, g, eta)
+        assert 1.0 <= d <= 2.0
+        roots = 0
+        for dd in (math.nextafter(d, 0.0), d, math.nextafter(d, 3.0)):
+            vstar = K._fprime_val(mstar, a, dd, g, eta)
+            assert abs(vstar) < 1e-13
+            if vstar <= 0.0:
+                # f'(argmin) has no margin, so the right end falls back to inf
+                assert K._m1_window(a, dd, g, eta, mstar, vstar)[1] == math.inf
+                roots += 1
+            assert K._solve_m1_val(a, dd, g, eta) == plain_m1(a, dd, g, eta)
+        assert roots
+
+    def test_end_failing_its_margin(self, monkeypatch):
+        a, d, g, eta = 2.4, 1.0, 0.25, 0.93
+        mstar = K._argmin_fprime(a, d, g, eta)
+        vstar = K._fprime_val(mstar, a, d, g, eta)
+        # one Newton step stops short of m1: f' at the right end is still
+        # positive, so only the left end counts
+        monkeypatch.setattr(K, "_NEWTON_CAP", 1)
+        l, h = K._m1_window(a, d, g, eta, mstar, vstar)
+        assert 0.0 < l < mstar and h == math.inf
+        assert K._solve_m1_val(a, d, g, eta) == plain_m1(a, d, g, eta)
+        # a margin no value exceeds: no end counts, on either search (the
+        # argmin sits at a/2 here, and an end past a/2 needs no value)
+        monkeypatch.setattr(K, "_MARGIN", 1.0)
+        K._argmin_shape.cache_clear()
+        try:
+            l_arg, h_arg = K._argmin_window(a, g, eta)
+            assert l_arg == -math.inf and h_arg >= 0.5 * a
+            assert K._m1_window(a, d, g, eta, mstar, vstar) == (-math.inf, math.inf)
+            assert K._solve_m1_val(a, d, g, eta) == plain_m1(a, d, g, eta)
+        finally:
+            K._argmin_shape.cache_clear()
+
+    def test_each_end_needs_its_own_certificate(self, monkeypatch):
+        a, d, g, eta = 2.4, 1.0, 0.25, 0.93
+        mstar = K._argmin_fprime(a, d, g, eta)
+        vstar = K._fprime_val(mstar, a, d, g, eta)
+        l, h = K._m1_window(a, d, g, eta, mstar, vstar)
+        assert 0.0 < l < h < mstar
+        # f'(argmin) without its margin: the chord bound on [h, argmin]
+        # fails, so the right end falls back to inf
+        assert K._m1_window(a, d, g, eta, mstar, 0.0) == (l, math.inf)
+        # values of the right sign at both ends but within their margins
+        fprime = K._fprime_val
+        with monkeypatch.context() as mp:
+            mp.setattr(K, "_fprime_val", lambda m, *rest: math.copysign(1e-300, fprime(m, *rest))
+                       if m in (l, h) else fprime(m, *rest))
+            assert K._m1_window(a, d, g, eta, mstar, vstar) == (-math.inf, math.inf)
+        # a left end past the region where f'' < 0 is certified: f' need not
+        # grow to its left
+        monkeypatch.setattr(K, "_argmin_window", lambda a, g, eta: (0.5 * l, math.inf))
+        assert K._m1_window(a, d, g, eta, mstar, vstar) == (-math.inf, h)
+
+    def test_m1_evaluation_count(self, monkeypatch):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        args = (2.4, 1.0, 0.25, 0.93)
+        K._solve_m1_val(*args)  # t* of (0.25, 0.93) is computed once per process
+        monkeypatch.setattr(K, "_fprime_val", counted(K._fprime_val))
+        monkeypatch.setattr(K, "_fsecond_val", counted(K._fsecond_val))
+        assert plain_m1(*args) == K._solve_m1_val(*args)
+        calls[0] = 0
+        plain_m1(*args)
+        assert calls[0] >= 80
+        calls[0] = 0
+        K._solve_m1_val(*args)
+        assert calls[0] <= 30

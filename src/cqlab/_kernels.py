@@ -8,16 +8,25 @@ with an arc v -> w^1 per blue edge {v, w} (both ways). When that digraph is
 acyclic there is no alternating cycle, and the exact path DFS stops as soon
 as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
-bound (or a cyclic digraph) makes the path DFS exhaustive. The matching
+bound (or a cyclic digraph) makes the path DFS exhaustive. Both take the
+bound from a caller that keeps it, as a RedBlueGraph does. The matching
 scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
 first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
 edge ids, read through the block's map to the edge ids of K_n. The scans
 walk that table in row chunks, scoring each chunk for all blocks of one
-first vertex at once, and never build the (n, m) table. The block tables of
-each (n, m) are built once per process and kept read-only when the (n-2,
-m-1) table has at most _MEMO_ROWS = 100,000 rows. The 49 keys with n <= 14
-then take 1.72 MiB together and the 57 with n <= 16 (the default matching
-cap) 2.29 MiB; the K_16 tables of sizes 5-8 are rebuilt on every call.
+first vertex at once, and never build the (n, m) table. The minimum scan
+skips twin-equivalent matchings: where swapping two vertices keeps every
+label, as inside a block of the paper's constructions, it scores only the
+blocks whose first edge is canonical and, past one chunk, only the table
+rows whose first edge (the matching's second) is canonical for some kept
+block. The first minimiser is canonical, so the answer is the full scan's;
+the two-, three- and four-label K_16 scans at sizes 6-8 take 0.01-0.11 s
+instead of 0.14-0.95 s, and a labeling with no twins (any total order on
+n >= 3 vertices) is scanned in full. The block tables of each (n, m) are
+built once per process and kept read-only when the (n-2, m-1) table has at
+most _MEMO_ROWS = 100,000 rows. The 49 keys with n <= 14 then take 1.72 MiB
+together and the 57 with n <= 16 (the default matching cap) 2.29 MiB; the
+K_16 tables of sizes 5-8 are rebuilt on every call.
 The dense formulas f, f', f'', p and the entropy live here only, and so does
 `_bisect`, the one search loop behind the f'-argmin, the f' root m1 and the
 alpha and eta searches in `bounds`. The argmin and m1 searches pass it a
@@ -135,6 +144,22 @@ def _first_edge_blocks(n, m):
             arr.flags.writeable = False
         _blocks_memo[n, m] = blocks
     return blocks
+
+
+def _twin_classes(lab):
+    """The twin classes of the labeling, as each vertex's next lower twin,
+    or -1 for the lowest vertex of its class. Vertices x and y are twins
+    when swapping them keeps every label: lab[x, w] == lab[y, w] for every w
+    but x and y, so the diagonal, which the counts never read, is ignored.
+    Twinship is an equivalence (x ~ y and y ~ z force lab[x, y] = lab[x, z]
+    = lab[y, z], hence x ~ z), so a class is read down from any vertex x as
+    x, prev[x], prev[prev[x]], ..."""
+    n = lab.shape[0]
+    w = np.arange(n)
+    same = lab[:, None, :] == lab  # same[x, y, w]: lab[x, w] == lab[y, w]
+    same[w, :, w] = True
+    same[:, w, w] = True
+    return np.where(same.all(2) & (w < w[:, None]), w, -1).max(1)
 
 
 def _scan_chunks(start, rows):
@@ -443,16 +468,56 @@ def min_critical_scan(lab: np.ndarray, size: int):
     edge list. By inclusion-exclusion (an edge has two endpoints), the count
     of M is sum_e single[e] - sum_{e<f} both[e, f]: single[e] counts pairs
     (x, w), x in e, w outside e, with lab(x, w) < L_e, and both[e, f] pairs
-    x in e, y in f with lab(x, y) < min(L_e, L_f)."""
+    x in e, y in f with lab(x, y) < min(L_e, L_f).
+
+    A matching is canonical when, reading the ends i < v of the first edge
+    of the sorted edge list and then the ends x < y of the second, no end
+    has a twin (see _twin_classes) below it but the ends read before it.
+    Where an end e has another twin u < e, swapping u and e keeps the count
+    and lowers the first or the second edge, since every vertex below x but
+    i and v is unmatched: a lexicographically smaller matching. The first
+    minimiser is therefore canonical, so the scan may skip any other
+    matching and still return the full scan's count and witness. It skips
+    the blocks whose first edge is not canonical, and in tables longer than
+    one chunk the rows whose first edge is canonical for no kept block."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
-    a, b = _pairs(lab.shape[0])
+    n = lab.shape[0]
+    a, b = _pairs(n)
     L = lab[a, b]
     # w = x's partner has label L_e, so it never counts; the terms w = x are
     # subtracted, so no diagonal value is assumed
     single = sum((lab[x] < L[:, None]).sum(1) - (lab[x, x] < L) for x in (a, b))
+    first, emap, start, sub = _first_edge_blocks(n, size)
+    prev = _twin_classes(lab)
+    if prev.max() >= 0:
+        # keep the blocks whose first edge (i, v) is canonical
+        i, v = a[first], b[first]
+        keep = (prev[i] < 0) & ((prev[v] < 0) | (prev[v] == i))
+        first, emap, start = first[keep], emap[keep], start[keep]
+        if len(sub) > _SCAN_ROWS:
+            # Past one chunk, keep only the rows of sub whose first edge
+            # (x, y) is canonical in the tail of some kept block, and only
+            # the blocks with such a row in their tail. P[k] is prev with
+            # block k's i and v taken out of the chains, and sa[e] the lower
+            # end of sub's edge e among the vertices but i and v, which must
+            # lie in the tail and start rows of sub. A row kept for one block
+            # is scored by every block whose tail holds it, which only adds
+            # matchings. In one chunk each run scores the table in one step,
+            # which costs less than this selection.
+            i, v = i[keep, None], v[keep, None]
+            P = np.where((prev == i) | (prev == v), -1, prev)
+            x, y, r = a[emap], b[emap], np.arange(len(P))[:, None]
+            sa = _pairs(n - 2)[0]
+            own = ((P[r, x] < 0) & ((P[r, y] < 0) | (P[r, y] == x))
+                   & (sa >= i) & (sa <= n - 2 * size))
+            rows = np.flatnonzero(own.any(0)[sub[:, 0]])
+            keep = own.any(1)
+            first, emap, start = first[keep], emap[keep], np.searchsorted(rows, start[keep])
+            sub = sub[rows]
+    E = len(L)
     lo = np.minimum.outer(L, L)
-    both = sum((lab[np.ix_(x, y)] < lo).astype(np.int64) for x in (a, b) for y in (a, b))
-    first, emap, start, sub = _first_edge_blocks(lab.shape[0], size)
+    ab = np.concatenate((a, b))
+    both = (lab[ab][:, ab].reshape(2, E, 2, E) < lo[None, :, None, :]).sum((0, 2))
     # The count of first[k] + R, R a tail row of block k, is single[first[k]]
     # plus a sum over R of W[k]: per edge f, single[f] - both[first[k], f],
     # and per pair f < g, -both[f, g] at column c2 + f * c2 + g, for the c2
@@ -509,14 +574,16 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     return np.column_stack((a[ids], b[ids]))
 
 
-def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int) -> int:
+def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int, bound=None) -> int:
     """Exact blue maximum over alternating paths, or -1 when the graph has an
-    alternating cycle. The digraph bound runs once. When the digraph is
+    alternating cycle. `bound` is _dag_bound_core of the same graph when the
+    caller keeps it; otherwise it is computed here, once. When the digraph is
     acyclic, the DFS stops at the first path that reaches its bound. A
     cyclic digraph runs the cycle DFS, which answers -1 on a cycle;
     otherwise the path DFS caps at nv // 2, which only a path through every
     vertex reaches."""
-    bound = _dag_bound_core(indptr, indices, nv)
+    if bound is None:
+        bound = _dag_bound_core(indptr, indices, nv)
     if bound < 0:
         if _has_cycle_core(indptr, indices, nv):
             return -1
@@ -524,11 +591,13 @@ def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int) -> int:
     return _max_blue_core(indptr, indices, nv, bound)
 
 
-def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int) -> bool:
+def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int, bound=None) -> bool:
     """Exact alternating-cycle test: an acyclic digraph answers False at
     once; only a cyclic one runs the DFS, since a closed walk there need not
-    contain a vertex-simple cycle."""
-    return _dag_bound_core(indptr, indices, nv) < 0 and _has_cycle_core(indptr, indices, nv)
+    contain a vertex-simple cycle. `bound` is as in alt_path_max_blue."""
+    if bound is None:
+        bound = _dag_bound_core(indptr, indices, nv)
+    return bound < 0 and _has_cycle_core(indptr, indices, nv)
 
 
 def f1_values(alphas, delta, gamma, eta):

@@ -72,6 +72,12 @@ class RedBlueGraph:
         built once per graph: the graph is frozen, so the tuples are shared."""
         return self._blue_csr
 
+    @functools.cached_property
+    def _dag_bound(self) -> int:
+        # the kernels' digraph bound (longest path, or -1 when cyclic), one
+        # linear pass per graph, shared by the cycle test and the path maximum
+        return _kernels._dag_bound_core(*self._blue_csr, self.num_vertices)
+
 
 def has_alternating_cycle(g: RedBlueGraph) -> bool:
     """Exact alternating-cycle test. The digraph on the 2x vertices with an
@@ -81,20 +87,20 @@ def has_alternating_cycle(g: RedBlueGraph) -> bool:
     vertex-simple alternating closed walks decides: a closed walk of the
     digraph need not contain a simple alternating cycle."""
     indptr, indices = g.csr()
-    return _kernels.alt_cycle_exists(indptr, indices, g.num_vertices)
+    return _kernels.alt_cycle_exists(indptr, indices, g.num_vertices, g._dag_bound)
 
 
 def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
     """Exact maximum blue-edge count over alternating paths; requires a
-    cycle-free graph (raises CyclePresent otherwise). One kernel call runs
-    the digraph bound of has_alternating_cycle once. Its longest path L
-    bounds the count, since a path with b blue edges is a b-arc walk there;
-    the exact DFS stops at the first path with L blue edges and searches
-    exhaustively only when none exists. A cyclic digraph gives no bound: the
-    cycle DFS runs, a cycle comes back as -1 and is raised as CyclePresent,
-    and without one the path DFS caps at x."""
+    cycle-free graph (raises CyclePresent otherwise). The graph keeps the
+    digraph bound of has_alternating_cycle, computed once for both. Its
+    longest path L bounds the count, since a path with b blue edges is a
+    b-arc walk there; the exact DFS stops at the first path with L blue
+    edges and searches exhaustively only when none exists. A cyclic digraph
+    gives no bound: the cycle DFS runs, a cycle comes back as -1 and is
+    raised as CyclePresent, and without one the path DFS caps at x."""
     indptr, indices = g.csr()
-    best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+    best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices, g._dag_bound)
     if best < 0:
         raise CyclePresent("cycle present: the path maximum is undefined")
     return best

@@ -140,7 +140,17 @@ def _check_domain(gamma: float, eta: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1/2], got {gamma}")
 
 
+def _check_alpha(alpha: float) -> None:
+    # alpha^2/2 is the denominator of p at m = 0, so it must be a positive
+    # finite float: alpha = 0 or 1e-300 would divide by zero, and inf or
+    # 1e160 give nan (nan fails every comparison)
+    if not (alpha > 0 and 0.0 < 0.5 * alpha * alpha < math.inf):
+        raise ValueError(f"alpha must be positive with alpha^2/2 a positive finite float, "
+                         f"got {alpha}")
+
+
 def _check_feasible(m: float, alpha: float, gamma: float, eta: float) -> None:
+    _check_alpha(alpha)
     _check_domain(gamma, eta)
     if not (0.0 <= m <= alpha / 2):
         raise ValueError(f"m must lie in [0, alpha/2], got m={m}, alpha={alpha}")
@@ -174,6 +184,7 @@ def solve_m1(alpha: float, delta: float, gamma: float, eta: float) -> float:
     a margin above the kernels' rounding bound; an end that fails is
     dropped, and the search is the plain bisection on that side. The result
     is the plain bisection's, float for float."""
+    _check_alpha(alpha)
     _check_domain(gamma, eta)
     m, found = _kernels._solve_m1_val(float(alpha), float(delta), float(gamma), float(eta))
     return m if found else math.inf
@@ -211,6 +222,17 @@ def _descending_root(evaluate, upper: float):
     change, so points below the root are never evaluated.
     Returns (root, (lo, hi)), or (None, None) when the branch never crosses
     in floating point, below or within 60 doublings above `upper`.
+
+    Each branch has at most one root. With m = t alpha, p depends on t alone,
+    and f = alpha^2 g(t) + alpha ((2 - delta) t - 1) with g(t) = (1/2 - 2
+    gamma t^2)(1 - H(p)) >= 0. f rises up to m1 and falls from m1 to the
+    f'-argmin m*, so F1(alpha) is the maximum of f over t in [0, t*], where
+    t* = m*/alpha does not depend on alpha (f'' depends on t alone). Each
+    term is convex in alpha and 0 at alpha = 0. So F1, and F2 (the t = 1/2
+    term), are convex with F(0) = 0: F(alpha)/alpha is nondecreasing, and F
+    changes sign at most once for alpha > 0. A binary search over the
+    SCAN_STEP grid would therefore find the scan's own cell; the scan stays
+    as it is until the benchmark can time that change on its own.
     """
     v_up = evaluate(upper)
     if math.isfinite(v_up) and v_up <= 0:

@@ -313,26 +313,33 @@ class TestBlueCsr:
         RedBlueGraph(num_red=3, blue_edges=frozenset({(1, 3), (4, 5), (6, 2)})),
     ], ids=["even", "odd", "six-cycle"])
     def test_built_once_per_graph(self, g, monkeypatch):
-        builds = []
+        # the CSR and the digraph bound are each built once per graph, and
+        # both public checks answer as the kernels do without them
+        builds, bounds = [], []
 
         def counted(nv, edges):
             builds.append(nv)
             return fresh(nv, edges)
 
-        fresh = alternating._csr
+        def counted_bound(indptr, indices, nv):
+            bounds.append(nv)
+            return fresh_bound(indptr, indices, nv)
+
+        fresh, fresh_bound = alternating._csr, _kernels._dag_bound_core
         monkeypatch.setattr(alternating, "_csr", counted)
         # the answers of the kernels over lists built for each call
         indptr, indices = fresh(g.num_vertices, sorted(g.blue_edges))
         cycle = _kernels.alt_cycle_exists(indptr, indices, g.num_vertices)
+        best = None if cycle else _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+        monkeypatch.setattr(_kernels, "_dag_bound_core", counted_bound)
         assert has_alternating_cycle(g) is cycle
         if cycle:
             with pytest.raises(CyclePresent):
                 max_blue_in_alternating_path(g)
         else:
-            best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
             assert max_blue_in_alternating_path(g) == best
         assert g.csr() == (tuple(indptr), tuple(indices))
-        assert builds == [g.num_vertices]
+        assert builds == bounds == [g.num_vertices]
 
 
 class TestRedBlueValidation:

@@ -9,6 +9,7 @@ from cqlab import _kernels
 from cqlab.common import INFINITE
 from cqlab.errors import NoCrossing, POutOfRange
 from cqlab.bounds import (
+    SCAN_STEP,
     CliqueBoundQuery,
     DenseBoundQuery,
     alpha2_closed_form,
@@ -198,6 +199,18 @@ class TestDenseF:
         with pytest.raises(ValueError, match=f"{match} must lie in"):
             call()
 
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, -3.0, math.inf, math.nan, 1e160])
+    @pytest.mark.parametrize("call", [
+        lambda a: solve_m1(a, 1, 0.25, 0.9),
+        lambda a: dense_f(0.0, a, 1, 0.25, 0.9),
+        lambda a: dense_fprime(0.0, a, 1, 0.25, 0.9),
+    ])
+    def test_helpers_reject_alpha_outside_the_float_range(self, call, alpha):
+        # alpha^2/2 must be a positive finite float: 0 and 1e-300 divided by
+        # zero, -3 and inf answered inf, nan answered nan
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            call(alpha)
+
     def test_fprime_matches_finite_difference(self):
         h = 1e-7
         for m, alpha, delta, gamma, eta in (
@@ -323,6 +336,25 @@ class TestDenseSearch:
         else:
             for m in np.linspace(0.0, alpha / 2, 2001).tolist():
                 assert _kernels._fprime_val(m, alpha, delta, gamma, eta) > -noise
+
+
+class TestOneRoot:
+    def test_branch_over_alpha_is_nondecreasing(self):
+        # F1 and F2 are convex in alpha with F(0) = 0 (see _descending_root),
+        # so F(alpha)/alpha never falls along the SCAN_STEP grid below the
+        # trivial bound; sampled (delta, ell, eta) of the dense benchmark grid
+        rng = np.random.default_rng(19)
+        etas = [0.76 + 0.01 * i for i in range(24)] + [0.930 + 0.001 * i for i in range(8)]
+        for _ in range(12):
+            delta = float(rng.choice([1.0, 1.1, 1.25, 1.5]))
+            gamma = resolve_gamma([2, 3, 4, 5, INFINITE][rng.integers(5)])
+            eta = round(float(rng.choice(etas)), 3)
+            alphas = np.arange(trivial_dense_bound(eta), 1.0, -SCAN_STEP)[::-5]  # ascending
+            for values in (_kernels.f1_values, _kernels.f2_values):
+                ratio = values(alphas, delta, gamma, eta) / alphas
+                ratio = ratio[np.isfinite(ratio)]
+                assert len(ratio) > 0
+                assert np.all(np.diff(ratio) >= -1e-12)
 
 
 class TestDenseAlphaUpper:

@@ -12,9 +12,12 @@ evaluation count is bounded. The matching scans are
 checked here against a digest of their outputs recorded with the earlier
 partner-table scans, and on random labelings against count_critical over
 every matching (minimum) and a sort of every matching's labels (anti-lex),
-at several chunk lengths; a fresh process bounds the peak memory of K_16
-scans. Scans on a cleared and on a warm block-table memo agree, the kept
-tables are read-only, and K_16 scans keep none above the memo's row cap.
+at several chunk lengths; planted-twin block labelings, whose scans skip
+twin-equivalent matchings, are checked the same way at every size, and the
+twin classes against their definition. A fresh process bounds the peak
+memory of K_16 scans, pruned and full. Scans on a cleared and on a warm
+block-table memo agree, the kept tables are read-only, and K_16 scans keep
+none above the memo's row cap.
 tests/test_labeled_graphs.py checks the scans against itertools oracles
 too.
 """
@@ -50,6 +53,8 @@ from cqlab.alternating import (
 from cqlab.labeled_graphs import (
     CONSTRUCTION_KINDS,
     FOUR_LABEL,
+    LEX_INFINITE,
+    EdgeLabeling,
     Matching,
     count_critical,
     make_construction,
@@ -129,6 +134,25 @@ def _scan_cases(draw):
     return lab, draw(st.integers(min_value=1, max_value=n // 2)), draw(st.sampled_from([1, 10**11]))
 
 
+@st.composite
+def _planted_twin_cases(draw):
+    # a block labeling of K_n, n 4-10: each vertex falls in one of at most
+    # n-1 blocks, so some block holds two vertices, which are twins; the
+    # label of (u, v) is a random symmetric rule over the blocks of u and v
+    # with 2, 3 or 4 labels. A scale of 1 or 10^11 as in _scan_cases.
+    n = draw(st.integers(min_value=4, max_value=10))
+    nb = draw(st.integers(min_value=1, max_value=n - 1))
+    block = draw(st.lists(st.integers(min_value=0, max_value=nb - 1), min_size=n, max_size=n))
+    ell = draw(st.integers(min_value=2, max_value=4))
+    rule = {}
+    for p in range(nb):
+        for q in range(p, nb):
+            rule[p, q] = rule[q, p] = draw(st.integers(min_value=1, max_value=ell))
+    labels = {(u + 1, v + 1): rule[block[u], block[v]]
+              for u in range(n) for v in range(u + 1, n)}
+    return EdgeLabeling(n, ell, labels), draw(st.sampled_from([1, 10**11]))
+
+
 def _chunked(scan, lab, size):
     # the scan's answers with chunks of 1, 5, 64 and the default _SCAN_ROWS
     # rows: at n <= 10 the default takes the whole (n-2, m-1) table in one
@@ -181,24 +205,92 @@ class TestMatchingScans:
         for edges in _chunked(K.anti_lex_scan, lab.matrix0() * scale, size):
             assert tuple(map(tuple, edges.tolist())) == matchings[keys.index(min(keys))]
 
+    @given(_planted_twin_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_planted_twins_over_count_critical(self, case):
+        # scans that skip twin-equivalent matchings keep the minimum and the
+        # first minimiser of count_critical over every matching, at every size
+        lab, scale = case
+        assert K._twin_classes(lab.matrix0()).max() >= 0  # the scan prunes
+        for size in range(1, lab.n // 2 + 1):
+            matchings = _itertools_matchings(lab.n, size)
+            counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m)))
+                      .critical_count for m in matchings]
+            best = min(counts)
+            for count, edges in _chunked(K.min_critical_scan, lab.matrix0() * scale, size):
+                assert count == best
+                assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
+
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads Linux VmHWM")
     def test_k16_memory(self):
         # A fresh process scans the two-label K_16 at sizes 7 (16,216,200
-        # matchings) and 8 (2,027,025). A table of every size-7 matching alone
-        # takes 227 MB, and a scan that built one peaked at 275 MB. The peak is
-        # the process's VmHWM: ru_maxrss of an exec'd child starts from its
-        # parent's peak, which a full test run takes far past the bound.
+        # matchings) and 8 (2,027,025), which the twin pruning leaves almost
+        # empty, and a seeded infinite-label K_16 at size 7, which has no
+        # twins and so scans every matching. A table of every size-7 matching
+        # alone takes 227 MB, and a scan that built one peaked at 275 MB. The
+        # peak is the process's VmHWM: ru_maxrss of an exec'd child starts
+        # from its parent's peak, which a full test run takes far past the
+        # bound.
         code = ("import re; from cqlab import _kernels as K; "
-                "from cqlab.labeled_graphs import make_construction; "
+                "from cqlab.common import INFINITE; "
+                "from cqlab.labeled_graphs import make_construction, random_labeling; "
                 "lab = make_construction('two', 16).matrix0(); "
+                "inf = random_labeling(16, INFINITE, seed=16).matrix0(); "
                 "print(K.min_critical_scan(lab, 7)[0], K.min_critical_scan(lab, 8)[0], "
+                "K.min_critical_scan(inf, 7)[0], "
                 "re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(Path(K.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout.split()
-        assert out[:2] == ["24", "32"]
-        assert int(out[2]) < 120 * 1024
+        assert out[:3] == ["24", "32", "6"]
+        assert int(out[3]) < 120 * 1024
+
+
+def _twins_by_swap(lab):
+    # each vertex's largest twin below it, or -1, from the definition: the
+    # matrix with x and y swapped equals lab off the diagonal
+    n = lab.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    prev = [-1] * n
+    for x, y in itertools.combinations(range(n), 2):  # the last x < y wins
+        p = np.arange(n)
+        p[[x, y]] = y, x
+        if np.array_equal(lab[np.ix_(p, p)][off], lab[off]):
+            prev[y] = x
+    return prev
+
+
+class TestTwinClasses:
+    def test_construction_blocks_are_the_classes(self):
+        # blocks are consecutive vertex ranges: each vertex's next lower
+        # twin is the vertex before it, except at the start of a block
+        for kind in set(CONSTRUCTION_KINDS) - {LEX_INFINITE}:
+            for n in range(12 if kind == FOUR_LABEL else 8, 17):
+                lab = make_construction(kind, n)
+                starts = set(itertools.accumulate(lab.blocks[:-1], initial=0))
+                want = [-1 if x in starts else x - 1 for x in range(n)]
+                assert K._twin_classes(lab.matrix0()).tolist() == want
+
+    def test_total_orders_have_none(self):
+        for seed in range(5):
+            lab = random_labeling(10, INFINITE, seed=seed).matrix0()
+            assert K._twin_classes(lab).tolist() == [-1] * 10
+        # the one pair of K_2 swaps onto itself
+        assert K._twin_classes(np.array([[0, 1], [1, 0]])).tolist() == [-1, 0]
+
+    def test_definition_with_any_diagonal(self):
+        # planted block labelings with blocks in random positions and a
+        # random diagonal, which no count reads
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            block = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            rule = rng.integers(1, 4, (n, n))
+            lab = np.triu(rule + rule.T)[block][:, block]
+            lab = np.maximum(lab, lab.T)
+            np.fill_diagonal(lab, rng.integers(0, 9, n))
+            assert K._twin_classes(lab).tolist() == _twins_by_swap(lab)
 
 
 class TestBlocksMemo:

@@ -12,12 +12,14 @@ bound (or a cyclic digraph) makes the path DFS exhaustive. Both take the
 bound from a caller that keeps it, as a RedBlueGraph does. The matching
 scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
 first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
-edge ids, read through the block's map to the edge ids of K_n. The scans
-walk that table in row chunks, scoring each chunk for all blocks of one
-first vertex at once, and never build the (n, m) table. The minimum scan
-skips twin-equivalent matchings: where swapping two vertices keeps every
-label, as inside a block of the paper's constructions, it scores only the
-blocks whose first edge is canonical and, past one chunk, only the table
+edge ids, read through the block's map to the edge ids of K_n. The blocks
+of one first vertex share their tail's first row and form a run; each run
+walks its own tail in row chunks, scoring each chunk for all its blocks at
+once, so no chunk starts inside a run, and no scan builds the (n, m) table.
+The minimum scan skips twin-equivalent matchings: where swapping two
+vertices keeps every label, as inside a block of the paper's constructions,
+it scores only the blocks whose first edge is canonical and, past one
+chunk, only the table
 rows whose first edge (the matching's second) is canonical for some kept
 block. The first minimiser is canonical, so the answer is the full scan's;
 the two-, three- and four-label K_16 scans at sizes 6-8 take 0.01-0.11 s
@@ -86,8 +88,6 @@ def _matching_table(n, m):
     """Every size-m matching of K_n as one row of an int16 (rows, m) table of
     ascending edge ids, m >= 1. Rows come in lexicographic order of the
     sorted edge list."""
-    if m == 1:
-        return np.arange(n * (n - 1) // 2, dtype=np.int16)[:, None]
     first, emap, start, sub = _first_edge_blocks(n, m)
     table = np.empty((len(first) * len(sub) - start.sum(), m), np.int16)
     r = 0
@@ -162,15 +162,12 @@ def _twin_classes(lab):
     return np.where(same.all(2) & (w < w[:, None]), w, -1).max(1)
 
 
-def _scan_chunks(start, rows):
-    # The scans walk the sub-table in chunks of _SCAN_ROWS rows. Per chunk:
-    # its first row s and, for each run k0..k1-1 of blocks sharing a start
-    # at or before the chunk's last row, (k0, k1, lo) with lo the run's first
-    # row inside the chunk. Blocks are in start order.
+def _runs(start):
+    # (k0, k1, r0) for each run k0..k1-1 of blocks sharing the tail start r0;
+    # blocks are in start order, and each run walks its tail r0.. of the
+    # sub-table in chunks of _SCAN_ROWS rows
     cut = np.flatnonzero(np.diff(start, prepend=-1)).tolist()
-    runs = list(zip(cut, cut[1:] + [len(start)], start[cut].tolist()))
-    for s in range(0, rows, _SCAN_ROWS):
-        yield s, [(k0, k1, max(r0 - s, 0)) for k0, k1, r0 in runs if r0 < s + _SCAN_ROWS]
+    return zip(cut, cut[1:] + [len(start)], start[cut].tolist())
 
 
 def _first_lex_min(keys):
@@ -522,22 +519,25 @@ def min_critical_scan(lab: np.ndarray, size: int):
     # plus a sum over R of W[k]: per edge f, single[f] - both[first[k], f],
     # and per pair f < g, -both[f, g] at column c2 + f * c2 + g, for the c2
     # edge ids of K_{n-2}. Counts stay below n^2, so int32 holds the sums.
+    # Rows of sizes 1 and 2 hold no pair, so W has no pair columns there.
     c2 = emap.shape[1]
-    W = np.concatenate((single[emap] - both[first[:, None], emap],
-                        -both[emap[:, :, None], emap[:, None, :]].reshape(len(first), -1)),
-                       axis=1).astype(np.int32)
+    W = single[emap] - both[first[:, None], emap]
+    if size >= 3:
+        W = np.concatenate((W, -both[emap[:, :, None], emap[:, None, :]].reshape(len(first), -1)),
+                           axis=1)
+    W = W.astype(np.int32)
     j, k = _pairs(size - 1)
     best = np.full(len(first), np.iinfo(np.int32).max)  # each block's first minimum
     best_row = np.zeros(len(first), np.intp)
-    for s, runs in _scan_chunks(start, len(sub)):
-        T = sub[s:s + _SCAN_ROWS].T.astype(np.intp)
-        Q = np.concatenate((T, c2 + T[j] * c2 + T[k]))  # the W columns of each row
-        for k0, k1, r in runs:
-            counts = np.take(W[k0:k1], Q[:, r:], axis=1).sum(1, dtype=np.int32)
+    for k0, k1, r0 in _runs(start):
+        for s in range(r0, len(sub), _SCAN_ROWS):
+            T = sub[s:s + _SCAN_ROWS].T.astype(np.intp)
+            Q = np.concatenate((T, c2 + T[j] * c2 + T[k]))  # the W columns of each row
+            counts = np.take(W[k0:k1], Q, axis=1).sum(1, dtype=np.int32)
             i, c = counts.argmin(1), counts.min(1)
             better = c < best[k0:k1]
             best[k0:k1][better] = c[better]
-            best_row[k0:k1][better] = s + r + i[better]
+            best_row[k0:k1][better] = s + i[better]
     total = single[first] + best
     kb = int(np.argmin(total))  # the first block holding the minimum
     ids = np.concatenate(([first[kb]], emap[kb][sub[best_row[kb]]]))
@@ -555,19 +555,19 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     # Within a block the first edge's label is common to every matching, and
     # inserting one value into two descending sequences of equal length keeps
     # their order, so each block compares its tails' labels alone. best holds
-    # each block's first smallest tail key so far, starting from its first row.
+    # each block's first smallest tail key so far, starting from a sentinel
+    # no key exceeds (a tie keeps best_row at the block's first row).
     Lb = L[emap]
-    best = np.sort(np.take_along_axis(Lb, sub[start], axis=1), axis=1)[:, ::-1]
+    best = np.full((len(first), size - 1), np.iinfo(np.int64).max)
     best_row = start.copy()
-    for s, runs in _scan_chunks(start, len(sub)):
-        T = sub[s:s + _SCAN_ROWS]
-        for k0, k1, r in runs:
-            keys = np.sort(Lb[k0:k1, T[r:]], axis=2)[:, :, ::-1]  # largest first
+    for k0, k1, r0 in _runs(start):
+        for s in range(r0, len(sub), _SCAN_ROWS):
+            keys = np.sort(Lb[k0:k1, sub[s:s + _SCAN_ROWS]], axis=2)[:, :, ::-1]  # largest first
             keys = np.concatenate((best[k0:k1, None], keys), axis=1)  # ties keep best
             i = _first_lex_min(keys)
             took = i > 0
             best[k0:k1][took] = keys[took, i[took]]
-            best_row[k0:k1][took] = s + r + i[took] - 1
+            best_row[k0:k1][took] = s + i[took] - 1
     full = np.sort(np.column_stack((L[first], best)), axis=1)[:, ::-1]
     kb = int(_first_lex_min(full[None])[0])
     ids = np.concatenate(([first[kb]], emap[kb][sub[best_row[kb]]]))

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import _kernels
 from .common import ell_text, is_infinite, validate_ell
 from .errors import NoCrossing, POutOfRange, RootDiagnostic
@@ -200,15 +198,15 @@ def trivial_dense_bound(eta: float) -> float:
 def _bisect_root(evaluate, lo: float, hi: float):
     # invariant: value(lo) <= 0 < value(hi); undefined (inf/nan) counts as > 0
     lo, hi = _kernels._bisect(lambda a: -math.inf < evaluate(a) <= 0, lo, hi, ALPHA_TOL)
-    # certify a genuine crossing: both ends defined with opposite signs means
-    # the continuous branch has a root inside the bracket. An undefined upper
-    # end means the bisection slid onto a branch-existence boundary instead.
+    # certify a genuine crossing: lo only ever moves to points whose value is
+    # finite and <= 0, so a defined upper end with value >= 0 means the
+    # continuous branch has a root inside the bracket. An undefined upper end
+    # means the bisection slid onto a branch-existence boundary instead.
     vhi = evaluate(hi)
-    vlo = evaluate(lo)
-    if not (math.isfinite(vhi) and math.isfinite(vlo) and vlo <= 0 <= vhi):
+    if not (math.isfinite(vhi) and vhi >= 0):
         raise RootDiagnostic(
             f"bracket [{lo}, {hi}] does not certify a root "
-            f"(values {vlo}, {vhi}); the branch boundary was hit"
+            f"(upper value {vhi}); the branch boundary was hit"
         )
     return 0.5 * (lo + hi), (lo, hi)
 
@@ -217,11 +215,14 @@ def _descending_root(evaluate, upper: float):
     """Largest root at or below `upper` by a descending SCAN_STEP scan plus
     bisection; when the branch is still non-positive at `upper` the root lies
     above it and is bracketed geometrically instead (the endpoint branch can
-    exceed the trivial bound). np.inf encodes "branch undefined here". The
-    scan evaluates grid points from the top down and stops at the first sign
-    change, so points below the root are never evaluated.
-    Returns (root, (lo, hi)), or (None, None) when the branch never crosses
-    in floating point, below or within 60 doublings above `upper`.
+    exceed the trivial bound). A value that is not finite (F reads inf where
+    p <= _P_FLOOR) means "branch undefined here". The scan evaluates grid
+    points from the top down and stops at the first sign change, so points
+    below the root are never evaluated. Grid point i is upper + i*d with d =
+    (upper - SCAN_STEP) - upper, for i up to ceil((1 - upper)/-SCAN_STEP)
+    exclusive: numpy's arange(upper, 1.0, -SCAN_STEP), float for float.
+    Returns (root, (lo, hi)), or (math.inf, None) when the branch never
+    crosses in floating point, below or within 60 doublings above `upper`.
 
     Each branch has at most one root. With m = t alpha, p depends on t alone,
     and f = alpha^2 g(t) + alpha ((2 - delta) t - 1) with g(t) = (1/2 - 2
@@ -244,19 +245,19 @@ def _descending_root(evaluate, upper: float):
                 lo = hi
             elif math.isfinite(vh):
                 return _bisect_root(evaluate, lo, hi)
-        return None, None
+        return math.inf, None
 
-    # the grid starts at upper, whose value v_up is already known
-    prev_alpha, prev_val = (upper, v_up) if math.isfinite(v_up) else (None, None)
-    for a in np.arange(upper, 1.0, -SCAN_STEP).tolist()[1:]:
-        v = evaluate(a)
-        if not math.isfinite(v):
-            prev_alpha, prev_val = None, None
-            continue
-        if v <= 0 and prev_val is not None and prev_val > 0:
-            return _bisect_root(evaluate, a, prev_alpha)
-        prev_alpha, prev_val = a, v
-    return None, None
+    # the grid starts at upper, whose value v_up is already known; a cell
+    # brackets a root when its lower end is defined and <= 0 and its upper
+    # end defined and > 0
+    d = (upper - SCAN_STEP) - upper
+    prev = v_up
+    for i in range(1, math.ceil((1.0 - upper) / -SCAN_STEP)):
+        v = evaluate(upper + i * d)
+        if -math.inf < v <= 0 < prev < math.inf:
+            return _bisect_root(evaluate, upper + i * d, upper + (i - 1) * d)
+        prev = v
+    return math.inf, None
 
 
 def dense_alpha_upper(query: DenseBoundQuery) -> DenseSolution:
@@ -268,9 +269,8 @@ def dense_alpha_upper(query: DenseBoundQuery) -> DenseSolution:
     upper = trivial_dense_bound(eta)
 
     def root(values):
-        # the branch's root and bracket through the kernel attribute, or inf
-        r, bracket = _descending_root(lambda a: float(values((a,), delta, gamma, eta)[0]), upper)
-        return (math.inf, None) if r is None else (r, bracket)
+        # the branch's root and bracket through the kernel attribute
+        return _descending_root(lambda a: float(values((a,), delta, gamma, eta)[0]), upper)
 
     alpha2, br2 = root(_kernels.f2_values)
     alpha1_curve, br1 = root(_kernels.f1_values)
@@ -315,6 +315,8 @@ def alpha2_closed_form(ell, eta: float) -> float:
 def density_threshold(delta: float, ell, target_alpha: float) -> float:
     """The eta at which the dense bound alpha0 equals target_alpha, to ETA_TOL,
     by bisection over (3/4, 1]; raises NoCrossing when the target is never hit."""
+    if math.isnan(target_alpha):
+        raise ValueError(f"target_alpha must be a number, got {target_alpha}")
     lo, hi = 0.75 + 1e-6, 1.0
 
     def a0(eta):
@@ -344,10 +346,10 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     alpha1 reports alpha1_curve, the stationary curve's root; alpha0 is
     min(alpha1, alpha2) with the definitional alpha1.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if eta_from > eta_to:
-        raise ValueError(f"eta_from ({eta_from}) must not exceed eta_to ({eta_to})")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not -math.inf < eta_from <= eta_to < math.inf:
+        raise ValueError(f"eta_from ({eta_from}) must not exceed eta_to ({eta_to}), both finite")
     # the last eta stays at or below eta_to; the tolerance absorbs the
     # rounding in (0.99 - 0.76) / 0.01 = 22.999999999999996
     nsteps = math.floor((eta_to - eta_from) / step + 1e-9)

@@ -109,7 +109,14 @@ class RunResult:
 
 
 def query_budget(n: int, delta: float) -> int:
-    return math.floor(n**delta)
+    """floor(n**delta); refuses a delta that is not finite or whose power
+    overflows a float."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    try:
+        return math.floor(n**delta)
+    except OverflowError:
+        raise ValueError(f"delta={delta} overflows the budget n**delta at n={n}") from None
 
 
 def _verified_result(g: RevealedGraph, vertices, budget: int, start: int,

@@ -12,6 +12,7 @@ from cqlab.bounds import (
     SCAN_STEP,
     CliqueBoundQuery,
     DenseBoundQuery,
+    _descending_root,
     alpha2_closed_form,
     binary_entropy,
     clique_alpha_upper,
@@ -355,6 +356,33 @@ class TestOneRoot:
                 ratio = ratio[np.isfinite(ratio)]
                 assert len(ratio) > 0
                 assert np.all(np.diff(ratio) >= -1e-12)
+
+
+class TestScanGrid:
+    @staticmethod
+    def visited(upper):
+        # every point the descending scan evaluates on a branch that stays
+        # positive, so the scan walks its whole grid
+        seen = []
+
+        def evaluate(a):
+            seen.append(a)
+            return 1.0
+
+        assert _descending_root(evaluate, upper) == (math.inf, None)
+        return seen
+
+    def test_grid_is_numpys_arange(self):
+        # the trivial bound of every eta on the dense benchmark grid, 50
+        # seeded uppers in [1, 100] (a walk of about 50,000 points each) and
+        # uppers within one step of 1.0, where the grid is empty or short
+        etas = [0.76 + 0.01 * i for i in range(24)] + [0.930 + 0.001 * i for i in range(8)]
+        near = [1.0 + k * SCAN_STEP / 4 for k in range(-4, 5)]
+        near += [math.nextafter(1.0 + SCAN_STEP, x) for x in (0.0, 2.0)]
+        uppers = ([trivial_dense_bound(round(eta, 3)) for eta in etas]
+                  + np.random.default_rng(21).uniform(1.0, 100.0, 50).tolist() + near)
+        for upper in uppers:
+            assert self.visited(upper) == [upper] + np.arange(upper, 1.0, -SCAN_STEP)[1:].tolist()
 
 
 class TestDenseAlphaUpper:

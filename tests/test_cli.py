@@ -390,6 +390,9 @@ class TestErrorPaths:
         ("0.97", "0.99", "0", "step must be positive"),
         ("0.97", "0.99", "-0.01", "step must be positive"),
         ("0.99", "0.97", "0.01", "must not exceed eta_to"),
+        ("0.9", "inf", "0.01", "eta_from (0.9) must not exceed eta_to (inf), both finite"),
+        ("nan", "0.99", "0.01", "eta_from (nan) must not exceed eta_to (0.99), both finite"),
+        ("0.9", "0.99", "nan", "step must be positive and finite, got nan"),
     ])
     def test_sweep_bad_range_exit_1(self, capsys, eta_from, eta_to, step, message):
         code, out, err = run(capsys, "bounds", "sweep", "--delta", "1", "--ells", "2",
@@ -397,6 +400,21 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("delta,message", [
+        ("inf", "delta must be finite, got inf"),
+        ("nan", "delta must be finite, got nan"),
+        ("1e308", "delta=1e+308 overflows the budget n**delta at n=5"),
+    ])
+    def test_simulate_budget_refused_exit_1(self, capsys, delta, message):
+        code, out, err = run(capsys, "simulate", "greedy", "--n", "5", "--delta", delta,
+                             "--seed", "0")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_threshold_nan_alpha_exit_1(self, capsys):
+        code, out, err = run(capsys, "bounds", "threshold", "--delta", "1", "--ell", "inf",
+                             "--alpha", "nan")
+        assert (code, out, err) == (1, "", "error: target_alpha must be a number, got nan\n")
 
 
 class TestModuleEntry:

@@ -1,23 +1,24 @@
-"""Kernel checks: the matching table against an itertools enumeration, and
-the certificate-first alternating kernels against the uncapped walker cores
-and the itertools path oracle of tests/test_alternating.py. There is one
-build of the kernels, so these check the public entry points against the
-cores they call; a chain of 2,000 red edges checks that the walker is not
-recursive. The dense F1/F2 batch wrappers are checked against closed forms
-and one-alpha calls, F1 without an f' root against f at the f'-argmin, and
-16 dense solves against a digest of their reprs. The certified windows of
-the f'-argmin and m1 searches are checked against the windowless bisection
-written out here, on random points and on each fallback route, and m1's
-evaluation count is bounded. The matching scans are
-checked here against a digest of their outputs recorded with the earlier
-partner-table scans, and on random labelings against count_critical over
-every matching (minimum) and a sort of every matching's labels (anti-lex),
-at several chunk lengths; planted-twin block labelings, whose scans skip
-twin-equivalent matchings, are checked the same way at every size, and the
-twin classes against their definition. A fresh process bounds the peak
-memory of K_16 scans, pruned and full. Scans on a cleared and on a warm
-block-table memo agree, the kept tables are read-only, and K_16 scans keep
-none above the memo's row cap.
+"""Kernel checks: the matching table against the itertools oracle of
+tests/test_labeled_graphs.py (whose order a filter of every edge subset
+cross-checks at n <= 8), and the certificate-first alternating kernels
+against the uncapped walker cores and the itertools path oracle of
+tests/test_alternating.py. There is one build of the kernels, so these
+check the public entry points against the cores they call; a chain of 2,000
+red edges checks that the walker is not recursive. The dense F1/F2 batch
+wrappers are checked against closed forms and one-alpha calls, F1 without
+an f' root against f at the f'-argmin, and 16 dense solves against a digest
+of their reprs. The certified windows of the f'-argmin and m1 searches are
+checked against the windowless bisection written out here, on random points
+and on each fallback route, and m1's evaluation count is bounded. The
+matching scans are checked here against a digest of their outputs recorded
+with the earlier partner-table scans, and on random labelings against
+count_critical over every matching of that oracle (minimum) and a sort of
+every matching's labels (anti-lex), at several chunk lengths; planted-twin
+block labelings, whose scans skip twin-equivalent matchings, are checked
+the same way at every size, and the twin classes against their definition.
+A fresh process bounds the peak memory of K_16 scans, pruned and full.
+Scans on a cleared and on a warm block-table memo agree, the kept tables
+are read-only, and K_16 scans keep none above the memo's row cap.
 tests/test_labeled_graphs.py checks the scans against itertools oracles
 too.
 """
@@ -61,6 +62,7 @@ from cqlab.labeled_graphs import (
     random_labeling,
 )
 from test_alternating import oracle_paths
+from test_labeled_graphs import oracle_all_matchings
 
 
 @contextlib.contextmanager
@@ -76,20 +78,34 @@ def _no_gc():
 
 
 def _itertools_matchings(n, m):
-    # combinations of the sorted edge list come out in lexicographic order
+    # combinations of the sorted edge list come out in lexicographic order;
+    # this filters all C(C(n, 2), m) of them, so it only cross-checks the
+    # order of _oracle_matchings at small n
     edges = itertools.combinations(range(n), 2)
     return [c for c in itertools.combinations(edges, m)
             if len({v for e in c for v in e}) == 2 * m]
 
 
+def _oracle_matchings(n, m):
+    # every size-m matching of K_n, 0-based, in lexicographic order of the
+    # sorted edge list; each oracle matching lists its edges by ascending
+    # lower end, which is that order
+    return sorted(tuple((u - 1, v - 1) for u, v in c) for c in oracle_all_matchings(n, m))
+
+
 class TestMatchingTable:
+    def test_oracle_order_equals_itertools(self):
+        for n in range(2, 9):
+            for m in range(1, n // 2 + 1):
+                assert _oracle_matchings(n, m) == _itertools_matchings(n, m)
+
     def test_order_is_lexicographic(self):
         for n in range(2, 10):
             a, b = np.triu_indices(n, 1)
             for m in range(1, n // 2 + 1):
                 table = K._matching_table(n, m)
                 rows = [tuple(zip(a[row].tolist(), b[row].tolist())) for row in table]
-                assert rows == _itertools_matchings(n, m)
+                assert rows == _oracle_matchings(n, m)
 
     def test_counts(self):
         for n in range(2, 10):
@@ -98,7 +114,7 @@ class TestMatchingTable:
                 table = K._matching_table(n, m)
                 # C(n, 2m) vertex sets times (2m-1)!! perfect matchings of each
                 rows = math.comb(n, 2 * m) * math.prod(range(1, 2 * m, 2))
-                assert table.shape == (rows, m) == (len(_itertools_matchings(n, m)), m)
+                assert table.shape == (rows, m) == (len(_oracle_matchings(n, m)), m)
                 assert table.dtype == np.int16
                 # each row holds m ascending edge ids on 2m distinct vertices
                 assert np.all(np.diff(table, axis=1) > 0)
@@ -155,8 +171,9 @@ def _planted_twin_cases(draw):
 
 def _chunked(scan, lab, size):
     # the scan's answers with chunks of 1, 5, 64 and the default _SCAN_ROWS
-    # rows: at n <= 10 the default takes the whole (n-2, m-1) table in one
-    # chunk, so only short ones merge chunks and start a block mid-chunk
+    # rows: at n <= 10 the default walks each run's tail of the (n-2, m-1)
+    # table in one chunk, so only short ones carry a block's minimum across
+    # chunks
     saved, out = K._SCAN_ROWS, []
     try:
         for rows in (1, 5, 64, saved):
@@ -186,7 +203,7 @@ class TestMatchingScans:
         # the inclusion-exclusion count's minimum and first minimiser equal
         # those of count_critical over every matching, in lexicographic order
         lab, size, scale = case
-        matchings = _itertools_matchings(lab.n, size)
+        matchings = _oracle_matchings(lab.n, size)
         counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
                   for m in matchings]
         best = min(counts)
@@ -200,7 +217,7 @@ class TestMatchingScans:
         # each matching's labels sorted largest first, compared as lists: the
         # first matching, in lexicographic order, with the smallest list
         lab, size, scale = case
-        matchings = _itertools_matchings(lab.n, size)
+        matchings = _oracle_matchings(lab.n, size)
         keys = [sorted((lab.label(u + 1, v + 1) for u, v in m), reverse=True) for m in matchings]
         for edges in _chunked(K.anti_lex_scan, lab.matrix0() * scale, size):
             assert tuple(map(tuple, edges.tolist())) == matchings[keys.index(min(keys))]
@@ -213,7 +230,7 @@ class TestMatchingScans:
         lab, scale = case
         assert K._twin_classes(lab.matrix0()).max() >= 0  # the scan prunes
         for size in range(1, lab.n // 2 + 1):
-            matchings = _itertools_matchings(lab.n, size)
+            matchings = _oracle_matchings(lab.n, size)
             counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m)))
                       .critical_count for m in matchings]
             best = min(counts)

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Writes the seven outputs pinned in pinned-outputs.sha256 into the current
+# Writes the nine outputs pinned in pinned-outputs.sha256 into the current
 # directory and checks their sha256 digests: the oracle's bits (a
 # transcript), the dense solver's (the paper's two-label table and two
 # sweeps; the second reaches f'-argmins inside (0, alpha/2)), the matching
-# scan's (the three-label K_14 and four-label K_16 minima) and beta's
+# scan's (the minima of every construction kind: three-label K_14,
+# four-label K_16, two-label K_16 and lexicographic K_12) and beta's
 # (beta(3, 3)). The arguments are the command that runs cqlab:
 #   sh .github/pinned-outputs.sh cqlab
 #   sh .github/pinned-outputs.sh python -m cqlab
@@ -15,5 +16,7 @@ digests="$(cd "$(dirname "$0")" && pwd)/pinned-outputs.sha256"
 "$@" bounds sweep --delta 1.5 --ells 5,4,inf --eta-from 0.76 --eta-to 0.99 --step 0.01 > sweep2.csv
 "$@" gamma verify --construction three --n 14 --brute-force --output json > gamma.json
 "$@" gamma verify --construction four --n 16 --brute-force --output json > gamma16.json
+"$@" gamma verify --construction two --n 16 --brute-force --output json > gamma2.json
+"$@" gamma verify --construction lex --n 12 --brute-force --output json > gammalex.json
 "$@" beta brute --k 3 --x 3 --output json > beta.json
 sha256sum -c "$digests"

@@ -293,23 +293,19 @@ def dense_alpha_upper(query: DenseBoundQuery) -> DenseSolution:
 
 
 def alpha2_closed_form(ell, eta: float) -> float:
-    """Endpoint-branch closed forms at delta = 1: 2/(1-H(2 eta - 1)) for
-    INFINITE, 8/(5(1-H((8 eta - 3)/5))) for 3 labels, and
-    4/(3(1-H((4 eta - 1)/3))) for 2 labels."""
-    if is_infinite(ell):
-        arg = 2 * eta - 1
-        scale = 2.0
-    elif ell == 3:
-        arg = (8 * eta - 3) / 5
-        scale = 8 / 5
-    elif ell == 2:
-        arg = (4 * eta - 1) / 3
-        scale = 4 / 3
-    else:
-        raise ValueError("closed forms exist for ell in {2, 3, INFINITE}")
+    """Endpoint-branch root at delta = 1: 1/((1 - gamma)(1 - H((eta - gamma)/
+    (1 - gamma)))) with gamma = resolve_gamma(ell), for every ell >= 2. At
+    m = alpha/2, F2 = alpha^2 (1 - gamma)(1 - H)/2 - alpha delta/2, so the
+    root at any delta is delta times this. For 2, 3 and INFINITE labels it
+    gives the floats of 4/(3(1-H((4 eta - 1)/3))), 8/(5(1-H((8 eta - 3)/5)))
+    and 2/(1-H(2 eta - 1)). Where 1 - H rounds to 0 (INFINITE with eta
+    within about 2.2e-9 of 3/4) the root is math.inf, as the solver reports."""
+    gamma = resolve_gamma(ell)
+    arg = (eta - gamma) / (1 - gamma)
     if not (0.5 < arg <= 1.0):
         raise ValueError(f"eta={eta} puts the entropy argument {arg} outside (1/2, 1]")
-    return scale / (1 - binary_entropy(arg))
+    gap = 1 - binary_entropy(arg)
+    return (1 / (1 - gamma)) / gap if gap > 0 else math.inf
 
 
 def density_threshold(delta: float, ell, target_alpha: float) -> float:
@@ -353,7 +349,15 @@ def sweep_rows(delta: float, ells, eta_from: float, eta_to: float, step: float,
     # the last eta stays at or below eta_to; the tolerance absorbs the
     # rounding in (0.99 - 0.76) / 0.01 = 22.999999999999996
     nsteps = math.floor((eta_to - eta_from) / step + 1e-9)
-    grid = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
+
+    def index(eta):  # grid position of eta, clamped to [0, nsteps]
+        return min(max((eta - eta_from) / step, 0), nsteps)
+
+    # round(x, 12) lands in (3/4, 1] only for x in (3/4, 1 + 5e-13], so only
+    # those indices are built, with one index of margin on each side
+    first = max(0, math.floor(index(0.75)) - 1)
+    last = min(nsteps, math.ceil(index(1 + 5e-13)) + 1)
+    grid = [round(eta_from + i * step, 12) for i in range(first, last + 1)]
     # the bound's range is (3/4, 1]; an appended eta = 1 replaces the grid's
     etas = [eta for eta in grid if 0.75 < eta < 1.0 or (eta == 1.0 and not append_eta1)]
     if append_eta1:

@@ -27,24 +27,13 @@ LEX_INFINITE = "lex"
 
 CONSTRUCTION_KINDS = (TWO_LABEL, THREE_LABEL, FOUR_LABEL, LEX_INFINITE)
 
-#: Kind -> (block-size ratios, block-label rule). Blocks are consecutive
-#: vertex ranges; the last block is the largest and absorbs the rounding
-#: remainder (floor each ratio, dump the remainder into the last). An edge
-#: between blocks i <= j carries label rule[i][j], and ell = len(rule).
-_BLOCK_TABLES = {
-    TWO_LABEL: (
-        (Fraction(1, 4), Fraction(3, 4)),
-        ((1, 1), (1, 2)),
-    ),
-    THREE_LABEL: (
-        (Fraction(1, 8), Fraction(1, 4), Fraction(5, 8)),
-        ((1, 1, 1), (1, 1, 2), (1, 2, 3)),
-    ),
-    FOUR_LABEL: (
-        (Fraction(1, 12), Fraction(2, 12), Fraction(2, 12), Fraction(7, 12)),
-        ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 3), (1, 2, 3, 4)),
-    ),
-}
+#: Kind -> label count ell of its staircase construction. The ell blocks
+#: (0-based i, consecutive vertex ranges) take the fractions (1, 2, ..., 2,
+#: 2 ell - 1)/(4(ell - 1)) of the vertices, floored, and the last (largest)
+#: block absorbs the rounding remainder. An edge between blocks i <= j
+#: carries label max(1, i + j - ell + 2), and the minimum critical-edge
+#: ratio tends to 1/2 - 1/(4(ell - 1)). The lex kind is the total order.
+_STAIRCASE_ELL = {TWO_LABEL: 2, THREE_LABEL: 3, FOUR_LABEL: 4}
 
 DEFAULT_MATCHING_CAP = 16
 
@@ -525,21 +514,24 @@ def switch_local_search(
 # constructions
 # ---------------------------------------------------------------------------
 
+def _staircase_ell(kind: str) -> int:
+    if kind not in _STAIRCASE_ELL:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    return _STAIRCASE_ELL[kind]
+
+
 def construction_blocks(kind: str, n: int) -> tuple[int, ...]:
-    """Realized block sizes: floor each ratio, remainder into the last block."""
+    """Realized block sizes: floor each fraction, remainder into the last block."""
     if kind == LEX_INFINITE:
         if n < 2:
             raise ValueError("need at least 2 vertices")
         return (n,)
-    if kind not in _BLOCK_TABLES:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    ratios = _BLOCK_TABLES[kind][0]
-    sizes = [math.floor(r * n) for r in ratios]
-    if any(s < 1 for s in sizes):
-        need = math.ceil(1 / min(ratios))
-        raise ValueError(f"N={n} too small for the {kind}-label construction (need N >= {need})")
-    sizes[-1] += n - sum(sizes)
-    return tuple(sizes)
+    ell = _staircase_ell(kind)
+    q = 4 * (ell - 1)  # the smallest block is floor(n/q)
+    if n < q:
+        raise ValueError(f"N={n} too small for the {kind}-label construction (need N >= {q})")
+    sizes = [n // q] + [2 * n // q] * (ell - 2)
+    return (*sizes, n - sum(sizes))
 
 
 def make_construction(kind: str, n: int) -> EdgeLabeling:
@@ -548,26 +540,21 @@ def make_construction(kind: str, n: int) -> EdgeLabeling:
     if kind == LEX_INFINITE:
         lab = EdgeLabeling.lexicographic(n)
     else:
-        rule = _BLOCK_TABLES[kind][1]
+        ell = len(blocks)
         block = [i for i, s in enumerate(blocks) for _ in range(s)]
-        labels = {(u, v): rule[block[u - 1]][block[v - 1]]
+        labels = {(u, v): max(1, block[u - 1] + block[v - 1] - ell + 2)
                   for u in range(1, n + 1) for v in range(u + 1, n + 1)}
-        lab = EdgeLabeling(n, len(rule), labels)
+        lab = EdgeLabeling(n, ell, labels)
     lab.blocks = blocks
     return lab
 
 
 def construction_min_ratio_analytic(kind: str) -> Fraction:
-    """Asymptotic minimum critical-edge ratio of each construction family."""
-    table = {
-        TWO_LABEL: Fraction(1, 4),
-        THREE_LABEL: Fraction(3, 8),
-        FOUR_LABEL: Fraction(5, 12),
-        LEX_INFINITE: Fraction(1, 2),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown construction kind {kind!r}")
-    return table[kind]
+    """Asymptotic minimum critical-edge ratio of each construction family:
+    1/2 - 1/(4(ell - 1)) for the staircases, 1/2 for the total order."""
+    if kind == LEX_INFINITE:
+        return Fraction(1, 2)
+    return Fraction(1, 2) - Fraction(1, 4 * (_staircase_ell(kind) - 1))
 
 
 # ---------------------------------------------------------------------------

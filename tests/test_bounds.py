@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,18 +485,29 @@ class TestAlpha2ClosedForm:
     def test_paper_table_value(self):
         assert round(alpha2_closed_form(2, 0.934), 4) == 2.3382
 
-    @pytest.mark.parametrize(
-        "ell,eta",
-        [(2, 0.93), (2, 0.937), (3, 0.9), (3, 0.95), (INFINITE, 0.951), (INFINITE, 0.99)],
-    )
-    def test_agrees_with_solver(self, ell, eta):
-        # includes the INFINITE case where alpha2 exceeds the trivial bound
-        sol = dense_alpha_upper(DenseBoundQuery(delta=1.0, ell=ell, eta=eta))
-        assert abs(sol.alpha2 - alpha2_closed_form(ell, eta)) < 1e-8
+    @pytest.mark.parametrize("delta,ell,eta", [
+        # ids ell-eta at delta = 1, ell-eta-delta elsewhere
+        pytest.param(delta, ell, eta, id=f"{ell}-{eta}" + (f"-{delta}" if delta != 1.0 else ""))
+        for delta in (1.0, 1.1, 1.25, 1.5)
+        for ell, eta in [(2, 0.76), (2, 0.93), (2, 0.937), (3, 0.9), (3, 0.95), (4, 0.8),
+                         (4, 0.96), (5, 0.77), (5, 0.93), (INFINITE, 0.76), (INFINITE, 0.951),
+                         (INFINITE, 0.99)]
+    ])
+    def test_agrees_with_solver(self, delta, ell, eta):
+        # F2's root is linear in delta; includes the INFINITE cases where
+        # alpha2 exceeds the trivial bound (near 3/4 by a factor of hundreds)
+        sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=eta))
+        assert abs(sol.alpha2 - delta * alpha2_closed_form(ell, eta)) < 1e-8
+
+    @pytest.mark.parametrize("eta", [0.750000001, 0.75 + 1e-12])
+    def test_infinite_where_entropy_rounds_to_one(self, eta):
+        # 1 - H((eta - 1/2)/(1/2)) rounds to 0: no finite root, as the solver says
+        sol = dense_alpha_upper(DenseBoundQuery(delta=1.0, ell=INFINITE, eta=eta))
+        assert alpha2_closed_form(INFINITE, eta) == sol.alpha2 == math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            alpha2_closed_form(4, 0.9)
+            alpha2_closed_form(1, 0.9)
         with pytest.raises(ValueError):
             alpha2_closed_form(2, 0.6)
 
@@ -583,3 +595,34 @@ class TestTables:
         assert len(etas) == count
         assert etas[0] == eta_from
         assert etas[-1] <= eta_to
+
+    @pytest.mark.parametrize("eta_from,eta_to,step", [
+        (0.5, 1.2, 0.07),
+        (0.0, 3.0, 0.125),
+        (0.745, 1.005, 0.01),
+        (0.7499, 0.7504, 1e-4),
+        (0.9998, 1.0003, 1e-4),
+        (0.7499999999998, 0.7500000000012, 3e-13),  # rounding to 12 places decides
+        (0.9999999999991, 1.0000000000011, 3e-13),
+        (0.9999999999997, 1.0000000000009, 1e-13),  # 1 + 4e-13 rounds to 1
+    ])
+    @pytest.mark.parametrize("append_eta1", [False, True])
+    def test_sweep_etas_follow_the_full_grid(self, eta_from, eta_to, step, append_eta1):
+        # the rule over the whole grid, which sweep_rows builds only near (3/4, 1]
+        nsteps = math.floor((eta_to - eta_from) / step + 1e-9)
+        grid = [round(eta_from + i * step, 12) for i in range(nsteps + 1)]
+        want = [eta for eta in grid if 0.75 < eta < 1.0 or (eta == 1.0 and not append_eta1)]
+        want += [1.0] if append_eta1 else []
+        rows = sweep_rows(1.0, [2], eta_from, eta_to, step, append_eta1=append_eta1)
+        assert [r["eta"] for r in rows] == want
+
+    def test_sweep_builds_no_unprinted_grid(self):
+        # a million-point grid with one eta in (3/4, 1]
+        tracemalloc.start()
+        try:
+            rows = sweep_rows(1.0, [2], 0.0, 1e6, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r["eta"] for r in rows] == [1.0]
+        assert peak < 1 << 20

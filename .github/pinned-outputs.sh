@@ -1,16 +1,20 @@
 #!/bin/sh
-# Writes the nine outputs pinned in pinned-outputs.sha256 into the current
-# directory and checks their sha256 digests: the oracle's bits (a
-# transcript), the dense solver's (the paper's two-label table and two
-# sweeps; the second reaches f'-argmins inside (0, alpha/2)), the matching
-# scan's (the minima of every construction kind: three-label K_14,
-# four-label K_16, two-label K_16 and lexicographic K_12) and beta's
-# (beta(3, 3)). The arguments are the command that runs cqlab:
+# Writes the twelve outputs pinned in pinned-outputs.sha256 into the current
+# directory and checks their sha256 digests: the oracle's bits and the scan
+# orders (fully adaptive, round-limited, amplified, and amplified
+# round-limited transcripts), the dense solver's (the paper's two-label
+# table and two sweeps; the second reaches f'-argmins inside
+# (0, alpha/2)), the matching scan's (the minima of every construction
+# kind: three-label K_14, four-label K_16, two-label K_16 and
+# lexicographic K_12) and beta's (beta(3, 3)). The arguments are the command that runs cqlab:
 #   sh .github/pinned-outputs.sh cqlab
 #   sh .github/pinned-outputs.sh python -m cqlab
 set -eu
 digests="$(cd "$(dirname "$0")" && pwd)/pinned-outputs.sha256"
 "$@" simulate greedy --n 4096 --delta 1 --seed 7 --transcript t.csv
+"$@" simulate greedy --n 4096 --delta 1 --ell 3 --seed 7 --transcript tb.csv
+"$@" simulate greedy --n 4096 --delta 1 --amplify --seed 7 --transcript ta.csv
+"$@" simulate greedy --n 4096 --delta 1 --ell 3 --amplify --seed 7 --transcript tab.csv
 "$@" bounds table-l2 --output csv > table.csv
 "$@" bounds sweep --delta 1 --ells inf,3,2 --eta-from 0.76 --eta-to 0.99 --step 0.01 > sweep.csv
 "$@" bounds sweep --delta 1.5 --ells 5,4,inf --eta-from 0.76 --eta-to 0.99 --step 0.01 > sweep2.csv

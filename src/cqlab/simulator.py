@@ -25,6 +25,25 @@ def _range_error(n: int) -> ValueError:
     return ValueError(f"vertices must lie in 0..{n - 1}")
 
 
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle `x` in place exactly as `rng.shuffle(x)` does, draw for draw:
+    CPython's Fisher-Yates takes j = randbelow(i + 1) for i = len(x) - 1 down
+    to 1, and randbelow(m) redraws getrandbits(m.bit_length()) until the draw
+    is below m. Here the bit length is computed once per run of i + 1 within
+    [2**(k-1), 2**k), and getrandbits is called directly."""
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def _vertex_pool(n: int, vertices) -> list[int]:
     """All of range(n), or `vertices` sorted; each must be a vertex of the
     graph (a repeated vertex is left to the oracle's self-loop check)."""
@@ -53,18 +72,20 @@ class RevealedGraph:
 
     def query(self, u: int, v: int) -> int:
         """Reveal (and cache) the adjacency bit of pair (u, v); logged."""
-        a, b = (u, v) if u < v else (v, u)
-        if not 0 <= a < b < self.n:
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < v < self.n:
             if u == v:
                 raise ValueError("no self-loops: u and v must differ")
             raise _range_error(self.n)
-        key = (a, b)
-        bit = self.revealed.get(key)
+        revealed = self.revealed
+        key = (u, v)
+        bit = revealed.get(key)
         if bit is None:
             h = self._hasher.copy()
-            h.update(_pack_pair(a, b))
-            bit = self.revealed[key] = h.digest()[0] & 1
-        self.query_log.append((self.rounds_closed, a, b))
+            h.update(_pack_pair(u, v))
+            bit = revealed[key] = h.digest()[0] & 1
+        self.query_log.append((self.rounds_closed, u, v))
         return bit
 
     def close_round(self):
@@ -152,16 +173,17 @@ def greedy_clique(g: RevealedGraph, budget: int, vertices=None, scan_seed=None) 
         raise ValueError("budget must be >= 1")
     pool = _vertex_pool(g.n, vertices)
     rng = random.Random((g.seed if scan_seed is None else scan_seed) ^ 0x9E3779B97F4A7C15)
-    rng.shuffle(pool)
+    _shuffle(pool, rng)
     query, log = g.query, g.query_log
     start = len(log)
     rounds_before = g.rounds_closed
     clique: list[int] = []
-    # worst case for the next candidate: test it against the k members, then
-    # verify C(k+1, 2) pairs; grows only with the clique
-    reserve = 0
+    # stop once the log passes start + budget - reserve, where the reserve is
+    # the next candidate's worst case: test it against the k members, then
+    # verify C(k+1, 2) pairs; changes only when the clique grows
+    limit = start + budget
     for cand in pool:
-        if len(log) - start + reserve > budget:
+        if len(log) > limit:
             break
         for member in clique:
             if not query(cand, member):
@@ -169,7 +191,7 @@ def greedy_clique(g: RevealedGraph, budget: int, vertices=None, scan_seed=None) 
         else:
             clique.append(cand)
             k = len(clique)
-            reserve = k + math.comb(k + 1, 2)
+            limit = start + budget - k - math.comb(k + 1, 2)
         g.close_round()
     return _verified_result(g, clique, budget, start, rounds_before, {"strategy": "greedy"})
 
@@ -281,8 +303,7 @@ class BatchedGreedyStrategy:
         self.budget = budget
         self.ell = ell
         pool = _vertex_pool(n, vertices)
-        rng = random.Random(seed ^ 0xA5A5A5A5)
-        rng.shuffle(pool)
+        _shuffle(pool, random.Random(seed ^ 0xA5A5A5A5))
         self.order = pool
         self.cursor = 0
         self.clique: list[int] = []

@@ -3,16 +3,19 @@ import json
 import math
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab.bounds import CliqueBoundQuery, clique_alpha_upper
-from cqlab.errors import AdaptivityViolation, BudgetExceeded
+from cqlab.errors import AdaptivityViolation, BudgetExceeded, CqlabError
 from cqlab.simulator import (
     BatchedGreedyStrategy,
     RoundContext,
+    _shuffle,
+    _verified_result,
     amplify,
     batched_block_runner,
     greedy_block_runner,
@@ -116,6 +119,23 @@ class TestRevealedGraph:
         assert bit in ("0", "1")
 
 
+# every length up to 300, and 2**k - 1, 2**k, 2**k + 1 for k <= 16: each
+# bit length's first and last i, and both ends of the rejection odds
+_SHUFFLE_LENGTHS = sorted(set(range(301)) | {
+    m for k in range(1, 17) for m in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_shuffle_matches_random_shuffle(seed):
+    for length in _SHUFFLE_LENGTHS:
+        expected, got = list(range(length)), list(range(length))
+        rng_expected, rng_got = random.Random(seed), random.Random(seed)
+        rng_expected.shuffle(expected)
+        _shuffle(got, rng_got)
+        assert got == expected, length
+        assert rng_got.getstate() == rng_expected.getstate(), length
+
+
 class TestGreedy:
     def test_budget_one_tiny_clique(self):
         g = new_instance(64, 3)
@@ -158,6 +178,13 @@ class TestGreedy:
             greedy_clique(g, 10, vertices=vertices)
         assert str(exc.value) == "vertices must lie in 0..7"
         assert g.queries_used == 0
+
+    def test_repeated_pool_vertex_refused_by_oracle(self):
+        # the pool check leaves repeats to the oracle: the second copy of 3
+        # is tested against the first
+        with pytest.raises(ValueError) as exc:
+            greedy_clique(new_instance(8, 1), 10, vertices=[3, 3])
+        assert str(exc.value) == "no self-loops: u and v must differ"
 
     def test_pool_at_the_edges_accepted(self):
         res = greedy_clique(new_instance(8, 1), 10, vertices=[7])
@@ -293,6 +320,13 @@ class TestRunLAdaptive:
         with pytest.raises(ValueError) as exc:
             BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=vertices)
         assert str(exc.value) == "vertices must lie in 0..7"
+
+    def test_batched_repeated_pool_vertex_refused_by_oracle(self):
+        # round 0 reveals every pair of the pool, (3, 3) among them
+        strat = BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=[3, 3, 5])
+        with pytest.raises(ValueError) as exc:
+            run_l_adaptive(new_instance(8, 1), strat, 1.0, 2)
+        assert str(exc.value) == "no self-loops: u and v must differ"
 
     def test_verification_past_budget_raises(self):
         # two round queries fit a budget of 2; re-querying the six pairs of
@@ -527,3 +561,115 @@ PINNED_RUNS = [
 @pytest.mark.parametrize("kind,n,seed,delta,ell,expected", PINNED_RUNS)
 def test_pinned_transcripts(kind, n, seed, delta, ell, expected):
     assert _run_digest(kind, n, seed, delta, ell) == expected
+
+
+# Reference scans: the greedy loop and the batched pool order written with
+# random.Random.shuffle and the budget test as used + reserve > budget. The
+# simulator's runs must match them query for query.
+
+def _reference_greedy(g, budget, vertices=None, scan_seed=None):
+    pool = list(range(g.n)) if vertices is None else sorted(vertices)
+    rng = random.Random((g.seed if scan_seed is None else scan_seed) ^ 0x9E3779B97F4A7C15)
+    rng.shuffle(pool)
+    query, log = g.query, g.query_log
+    start = len(log)
+    rounds_before = g.rounds_closed
+    clique = []
+    reserve = 0
+    for cand in pool:
+        if len(log) - start + reserve > budget:
+            break
+        for member in clique:
+            if not query(cand, member):
+                break
+        else:
+            clique.append(cand)
+            k = len(clique)
+            reserve = k + math.comb(k + 1, 2)
+        g.close_round()
+    return _verified_result(g, clique, budget, start, rounds_before, {"strategy": "greedy"})
+
+
+def _reference_batched(n, seed, budget, ell, vertices=None):
+    strat = BatchedGreedyStrategy(n, seed=seed, budget=budget, ell=ell, vertices=vertices)
+    pool = list(range(n)) if vertices is None else sorted(vertices)
+    random.Random(seed ^ 0xA5A5A5A5).shuffle(pool)
+    strat.order = pool
+    return strat
+
+
+def _reference_greedy_block_runner(g, block, seed, share, ell):
+    res = _reference_greedy(g, share, vertices=block, scan_seed=seed)
+    return replace(res, meta={"strategy": "greedy", "block": (block[0], block[-1])})
+
+
+def _reference_batched_block_runner(g, block, seed, share, ell):
+    strat = _reference_batched(g.n, seed=seed, budget=share, ell=ell, vertices=block)
+    res = run_l_adaptive(g, strat, delta=1.0, ell=ell, budget=share)
+    return replace(res, meta={**res.meta, "block": (block[0], block[-1])})
+
+
+def _outcome(n, seed, run):
+    """The run's result, or its refusal, and the instance's transcript."""
+    g = new_instance(n, seed)
+    try:
+        res = run(g)
+    except (ValueError, CqlabError) as exc:
+        res = (type(exc), str(exc))
+    return res, g.transcript_lines()
+
+
+@st.composite
+def _sim_cases(draw):
+    """n <= 512, a budget in 1..2n, an instance seed, and a vertex pool:
+    every vertex, or a sample that may repeat one vertex."""
+    n = draw(st.integers(min_value=2, max_value=512), label="n")
+    budget = draw(st.integers(min_value=1, max_value=2 * n), label="budget")
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed")
+    vertices = None
+    if draw(st.booleans(), label="pool"):
+        size = draw(st.integers(min_value=0, max_value=n), label="size")
+        pool_seed = draw(st.integers(min_value=0, max_value=2**32), label="pool_seed")
+        vertices = random.Random(pool_seed).sample(range(n), size)
+        if vertices and draw(st.booleans(), label="repeat"):
+            vertices.append(vertices[pool_seed % len(vertices)])
+    return n, budget, seed, vertices
+
+
+class TestReferenceAgreement:
+    @given(_sim_cases(), st.none() | st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_greedy(self, case, scan_seed):
+        n, budget, seed, vertices = case
+        got = _outcome(n, seed, lambda g: greedy_clique(g, budget, vertices, scan_seed))
+        want = _outcome(n, seed, lambda g: _reference_greedy(g, budget, vertices, scan_seed))
+        assert got == want
+
+    @given(_sim_cases(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_batched(self, case, ell, strategy_seed):
+        n, budget, seed, vertices = case
+
+        def run(make):
+            return lambda g: run_l_adaptive(
+                g, make(n, strategy_seed, budget, ell, vertices), 1.0, ell, budget=budget)
+
+        got = _outcome(n, seed, run(BatchedGreedyStrategy))
+        want = _outcome(n, seed, run(_reference_batched))
+        assert got == want
+
+    @pytest.mark.parametrize("runner,reference", [
+        (greedy_block_runner, _reference_greedy_block_runner),
+        (batched_block_runner, _reference_batched_block_runner),
+    ])
+    @given(case=_sim_cases(), ell=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_amplified(self, runner, reference, case, ell):
+        n, budget, seed, _ = case
+        # floor(n ** delta) is the drawn budget up to float rounding, and the
+        # same delta goes to both runs
+        delta = math.log(budget) / math.log(n)
+        got = _outcome(n, seed, lambda g: amplify(runner, g, delta, ell))
+        want = _outcome(n, seed, lambda g: amplify(reference, g, delta, ell))
+        assert got == want

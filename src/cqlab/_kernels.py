@@ -19,12 +19,11 @@ once, so no chunk starts inside a run, and no scan builds the (n, m) table.
 The minimum scan skips twin-equivalent matchings: where swapping two
 vertices keeps every label, as inside a block of the paper's constructions,
 it scores only the blocks whose first edge is canonical and, past one
-chunk, only the table
-rows whose first edge (the matching's second) is canonical for some kept
-block. The first minimiser is canonical, so the answer is the full scan's;
-the two-, three- and four-label K_16 scans at sizes 6-8 take 0.01-0.11 s
-instead of 0.14-0.95 s, and a labeling with no twins (any total order on
-n >= 3 vertices) is scanned in full. The block tables of each (n, m) are
+chunk, only the table rows whose first edge (the matching's second) is
+canonical for some kept block. The first minimiser is canonical, so the
+answer is the full scan's; the two-, three- and four-label K_16 scans at
+sizes 6-8 take 0.01-0.11 s on a 2-vCPU x86 machine, and a labeling with no
+twins (any total order on n >= 3 vertices) is scanned in full. The block tables of each (n, m) are
 built once per process and kept read-only when the (n-2, m-1) table has at
 most _MEMO_ROWS = 100,000 rows. The 49 keys with n <= 14 then take 1.72 MiB
 together and the 57 with n <= 16 (the default matching cap) 2.29 MiB; the

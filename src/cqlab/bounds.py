@@ -232,8 +232,7 @@ def _descending_root(evaluate, upper: float):
     term is convex in alpha and 0 at alpha = 0. So F1, and F2 (the t = 1/2
     term), are convex with F(0) = 0: F(alpha)/alpha is nondecreasing, and F
     changes sign at most once for alpha > 0. A binary search over the
-    SCAN_STEP grid would therefore find the scan's own cell; the scan stays
-    as it is until the benchmark can time that change on its own.
+    SCAN_STEP grid would therefore find the scan's own cell.
     """
     v_up = evaluate(upper)
     if math.isfinite(v_up) and v_up <= 0:

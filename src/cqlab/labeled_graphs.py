@@ -375,15 +375,101 @@ def _exchange_has_negative_cycle(W, edges, wm) -> bool:
     return True
 
 
+def _outward_switch(W, edges, n):
+    """The first outward switch: matching edge (a, b) traded for a cheaper
+    edge (x, c) from an endpoint x to an uncovered vertex c. Returns the
+    other edges in order, then (x, c); None when no outward switch
+    improves."""
+    covered = {v for e in edges for v in e}
+    free = [c for c in range(1, n + 1) if c not in covered]
+    for a, b in edges:
+        wm = W[a][b]
+        for x in (a, b):
+            Wx = W[x]
+            for c in free:
+                if Wx[c] < wm:
+                    return [e for e in edges if e != (a, b)] + [(min(x, c), max(x, c))]
+    return None
+
+
+def _pair_switch(W, edges):
+    """The first pair switch: matching edges (a, b), (c, d) traded for a
+    cheaper pair e1, e2 on the same four vertices. Returns the other edges in
+    order, then e1, then e2; None when no pair switch improves."""
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            base = W[a][b] + W[c][d]
+            for e1, e2 in (((a, c), (b, d)), ((a, d), (b, c))):
+                if W[e1[0]][e1[1]] + W[e2[0]][e2[1]] < base:
+                    rest = [e for e in edges if e != (a, b) and e != (c, d)]
+                    return rest + [(min(e1), max(e1)), (min(e2), max(e2))]
+    return None
+
+
+def _improving_chain(W, edges, wm, order, chain, delta, remaining):
+    """Depth-first extension of an alternating chain to an improving cycle.
+
+    chain lists (j, a, b): matching edge j, entered at a and left at b, and
+    each step walks by the non-matching edge (b, a') into the next one. delta
+    is the chain's weight change so far and remaining the weight of the
+    matching edges not in it. Steps go to edges later in the list than the
+    first one, in sorted-edge order and orientation (c, d) before (d, c).
+    Returns the first chain of >= 2 edges whose closing edge (b_last, a_0)
+    makes the change negative, or None; a chain stops growing once even
+    removing every remaining matching edge could not make it negative.
+    """
+    i0, a0, _ = chain[0]
+    Wb = W[chain[-1][2]]
+    # with >= 2 edges, b_last lies on another matching edge than a0, so b_last != a0
+    if len(chain) >= 2 and delta + Wb[a0] < 0:
+        return chain
+    if delta - remaining >= 0:
+        return None
+    used = {j for j, _, _ in chain}
+    for j in order:
+        if j > i0 and j not in used:
+            c, d = edges[j]
+            for a, b in ((c, d), (d, c)):
+                found = _improving_chain(W, edges, wm, order, chain + [(j, a, b)],
+                                         delta + Wb[a] - wm[j], remaining - wm[j])
+                if found:
+                    return found
+    return None
+
+
+def _cycle_switch(W, edges):
+    """The first switch along an improving alternating cycle over >= 2
+    matching edges. Returns the edges off the cycle in order, then
+    (b_i, a_{i+1}) for each step of the chain and the closing (b_last, a_0);
+    None when no alternating cycle improves."""
+    wm = [W[a][b] for a, b in edges]
+    if not _exchange_has_negative_cycle(W, edges, wm):
+        return None
+    total = sum(wm)
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    for i0 in order:
+        a, b = edges[i0]
+        for a0, b0 in ((a, b), (b, a)):
+            chain = _improving_chain(W, edges, wm, order, [(i0, a0, b0)], -wm[i0], total - wm[i0])
+            if chain:
+                on_cycle = {j for j, _, _ in chain}
+                return [e for j, e in enumerate(edges) if j not in on_cycle] + [
+                    (min(b1, a2), max(b1, a2))
+                    for (_, _, b1), (_, a2, _) in zip(chain, chain[1:] + chain[:1])
+                ]
+    return None
+
+
 def switch_local_search(
     labeling: EdgeLabeling, size: int, epsilon=None, seed: int = 0
 ) -> Matching:
     """First-improvement local search to a switch-optimal matching.
 
-    Moves, scanned in this order: outward switches (swap a matching edge for a
+    Moves, tried in this order: outward switches (swap a matching edge for a
     cheaper edge to an uncovered vertex), pair switches on a quadruple, then
     general alternating cycles (which subsume cycle switches and
-    path-plus-closing-edge switches). Each move strictly decreases the total
+    path-plus-closing-edge switches). Each move returns the next edge list,
+    whose order decides the next scan, and strictly decreases the total
     weight, which lives in a finite set, so the search terminates. At the
     optimum there is no outward critical edge and no partner-pair of critical
     edges spanning two label classes.
@@ -394,8 +480,8 @@ def switch_local_search(
     DFS, a Bellman-Ford pass over the exchange digraph (one node per matching
     edge and entry endpoint) looks for a negative cycle. Without one no
     alternating cycle improves, and the search ends without the DFS; nearly
-    every search ends this way. With one, the unchanged DFS runs and finds
-    the improving cycle, or finds none because every negative cycle reuses a
+    every search ends this way. With one, the DFS runs and finds the
+    improving cycle, or finds none because every negative cycle reuses a
     matching edge. The result is the same as the DFS alone.
     """
     if size < 1 or 2 * size > labeling.n:
@@ -418,95 +504,8 @@ def switch_local_search(
     edges = sorted(
         (min(a, b), max(a, b)) for a, b in zip(verts[0::2], verts[1::2])
     )
-
-    def try_outward(es):
-        covered = {v for e in es for v in e}
-        free = [v for v in range(1, n + 1) if v not in covered]
-        for a, b in es:
-            wm = W[a][b]
-            for x in (a, b):
-                Wx = W[x]
-                for c in free:
-                    if Wx[c] < wm:
-                        es.remove((a, b))
-                        es.append((min(x, c), max(x, c)))
-                        return True
-        return False
-
-    def try_pair_switch(es):
-        k = len(es)
-        for i in range(k):
-            a, b = es[i]
-            for j in range(i + 1, k):
-                c, d = es[j]
-                base = W[a][b] + W[c][d]
-                for e1, e2 in (((a, c), (b, d)), ((a, d), (b, c))):
-                    if W[e1[0]][e1[1]] + W[e2[0]][e2[1]] < base:
-                        del es[j]
-                        del es[i]
-                        es.append((min(e1), max(e1)))
-                        es.append((min(e2), max(e2)))
-                        return True
-        return False
-
-    def try_cycle(es):
-        # alternating cycles over >= 2 matching edges; exit vertex walks by a
-        # non-matching edge to the next matched pair. Prune on the largest
-        # possible future saving (the total weight of unused matching edges).
-        k = len(es)
-        wm = [W[a][b] for a, b in es]
-        if not _exchange_has_negative_cycle(W, es, wm):
-            return False
-        total = sum(wm)
-        order = sorted(range(k), key=lambda i: (es[i],))
-        result = None
-
-        def dfs(i0, a0, bcur, used, delta, remaining):
-            # entered only while result is None (callers return once it is set)
-            nonlocal result
-            Wb = W[bcur]
-            # close the cycle (needs >= 2 matching edges; bcur then lies on a
-            # matching edge other than a0's, so bcur != a0)
-            if len(used) >= 2:
-                closing = delta + Wb[a0]
-                if closing < 0:
-                    result = list(used)
-                    return
-            if delta - remaining >= 0:
-                return
-            for j in order:
-                if j <= i0 or j in used_set:
-                    continue
-                c, d = es[j]
-                for anext, bnext in ((c, d), (d, c)):
-                    nd = delta + Wb[anext] - wm[j]
-                    used.append((j, anext, bnext))
-                    used_set.add(j)
-                    dfs(i0, a0, bnext, used, nd, remaining - wm[j])
-                    used_set.discard(j)
-                    used.pop()
-                    if result is not None:
-                        return
-
-        for i0 in order:
-            a, b = es[i0]
-            for a0, b0 in ((a, b), (b, a)):
-                used_set = {i0}
-                start = [(i0, a0, b0)]
-                dfs(i0, a0, b0, start, -wm[i0], total - wm[i0])
-                if result is not None:
-                    chain = result
-                    new_edges = [es[j] for j in range(k) if j not in {c[0] for c in chain}]
-                    for (j1, a1, b1), (j2, a2, b2) in zip(chain, chain[1:]):
-                        new_edges.append((min(b1, a2), max(b1, a2)))
-                    last = chain[-1]
-                    new_edges.append((min(last[2], chain[0][1]), max(last[2], chain[0][1])))
-                    es[:] = new_edges
-                    return True
-        return False
-
-    while try_outward(edges) or try_pair_switch(edges) or try_cycle(edges):
-        pass
+    while nxt := _outward_switch(W, edges, n) or _pair_switch(W, edges) or _cycle_switch(W, edges):
+        edges = nxt
     return Matching(tuple(edges))
 
 

@@ -45,13 +45,16 @@ def _shuffle(x: list, rng: random.Random) -> None:
 
 
 def _vertex_pool(n: int, vertices) -> list[int]:
-    """All of range(n), or `vertices` sorted; each must be a vertex of the
-    graph (a repeated vertex is left to the oracle's self-loop check)."""
+    """All of range(n), or `vertices` sorted; each must be a distinct vertex
+    of the graph, refused before any query otherwise."""
     if vertices is None:
         return list(range(n))
     pool = sorted(vertices)
     if pool and (pool[0] < 0 or pool[-1] >= n):
         raise _range_error(n)
+    for u, v in zip(pool, pool[1:]):
+        if u == v:
+            raise ValueError(f"vertices must be distinct; {v} repeats")
     return pool
 
 

@@ -4,13 +4,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqlab import labeled_graphs
-from cqlab.common import INFINITE
+from cqlab.common import INFINITE, as_fraction
 from cqlab.errors import InstanceTooLarge
 from cqlab.labeled_graphs import (
     FOUR_LABEL,
@@ -670,6 +671,148 @@ class TestLocalSearchGolden:
             assert got[key] == edges
         digest = hashlib.sha256(repr([edges for _, edges in runs]).encode()).hexdigest()
         assert digest == self.DIGEST
+
+
+def reference_switch_local_search(labeling, size, epsilon=None, seed=0):
+    """The search as closures that edit the edge list in place, kept as the
+    reference for the move functions: the order the edits leave the list in
+    decides the next scan, so both must return the same edge tuple."""
+    ell = labeling.num_labels
+    eps = as_fraction(epsilon) if epsilon is not None else default_epsilon(ell)
+    n = labeling.n
+    max_label = labeling.n * (labeling.n - 1) // 2 if ell == INFINITE else int(ell)
+    wint = _weight_table(max_label, eps)
+    W = [[wint[t] for t in row] for row in labeling._m.tolist()]
+
+    rng = random.Random(seed)
+    verts = rng.sample(range(1, n + 1), 2 * size)
+    edges = sorted(
+        (min(a, b), max(a, b)) for a, b in zip(verts[0::2], verts[1::2])
+    )
+
+    def try_outward(es):
+        covered = {v for e in es for v in e}
+        free = [v for v in range(1, n + 1) if v not in covered]
+        for a, b in es:
+            wm = W[a][b]
+            for x in (a, b):
+                Wx = W[x]
+                for c in free:
+                    if Wx[c] < wm:
+                        es.remove((a, b))
+                        es.append((min(x, c), max(x, c)))
+                        return True
+        return False
+
+    def try_pair_switch(es):
+        k = len(es)
+        for i in range(k):
+            a, b = es[i]
+            for j in range(i + 1, k):
+                c, d = es[j]
+                base = W[a][b] + W[c][d]
+                for e1, e2 in (((a, c), (b, d)), ((a, d), (b, c))):
+                    if W[e1[0]][e1[1]] + W[e2[0]][e2[1]] < base:
+                        del es[j]
+                        del es[i]
+                        es.append((min(e1), max(e1)))
+                        es.append((min(e2), max(e2)))
+                        return True
+        return False
+
+    def try_cycle(es):
+        k = len(es)
+        wm = [W[a][b] for a, b in es]
+        if not labeled_graphs._exchange_has_negative_cycle(W, es, wm):
+            return False
+        total = sum(wm)
+        order = sorted(range(k), key=lambda i: (es[i],))
+        result = None
+
+        def dfs(i0, a0, bcur, used, delta, remaining):
+            nonlocal result
+            Wb = W[bcur]
+            if len(used) >= 2:
+                closing = delta + Wb[a0]
+                if closing < 0:
+                    result = list(used)
+                    return
+            if delta - remaining >= 0:
+                return
+            for j in order:
+                if j <= i0 or j in used_set:
+                    continue
+                c, d = es[j]
+                for anext, bnext in ((c, d), (d, c)):
+                    nd = delta + Wb[anext] - wm[j]
+                    used.append((j, anext, bnext))
+                    used_set.add(j)
+                    dfs(i0, a0, bnext, used, nd, remaining - wm[j])
+                    used_set.discard(j)
+                    used.pop()
+                    if result is not None:
+                        return
+
+        for i0 in order:
+            a, b = es[i0]
+            for a0, b0 in ((a, b), (b, a)):
+                used_set = {i0}
+                start = [(i0, a0, b0)]
+                dfs(i0, a0, b0, start, -wm[i0], total - wm[i0])
+                if result is not None:
+                    chain = result
+                    new_edges = [es[j] for j in range(k) if j not in {c[0] for c in chain}]
+                    for (j1, a1, b1), (j2, a2, b2) in zip(chain, chain[1:]):
+                        new_edges.append((min(b1, a2), max(b1, a2)))
+                    last = chain[-1]
+                    new_edges.append((min(last[2], chain[0][1]), max(last[2], chain[0][1])))
+                    es[:] = new_edges
+                    return True
+        return False
+
+    while try_outward(edges) or try_pair_switch(edges) or try_cycle(edges):
+        pass
+    return Matching(tuple(edges))
+
+
+class TestLocalSearchAgreement:
+    @given(st.integers(min_value=4, max_value=14), st.sampled_from([1, 2, 3, 4, INFINITE]),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_in_place_reference(self, n, ell, data):
+        # epsilon default_epsilon(ell) / k passes epsilon_check for k = 1..4
+        size = data.draw(st.integers(min_value=1, max_value=n // 2))
+        lab_seed, seed = data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 10**6))
+        k = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+        epsilon = None if k is None else default_epsilon(ell) / k
+        lab = random_labeling(n, ell, seed=lab_seed)
+        # the edge lists, in list order, that reach the cycle move
+        seen = []
+
+        def spy(W, edges, wm):
+            seen.append(list(edges))
+            return _exchange_has_negative_cycle(W, edges, wm)
+
+        with mock.patch.object(labeled_graphs, "_exchange_has_negative_cycle", spy):
+            got = switch_local_search(lab, size, epsilon=epsilon, seed=seed).edges
+            got_seen, seen[:] = seen[:], []
+            want = reference_switch_local_search(lab, size, epsilon=epsilon, seed=seed).edges
+        assert got == want
+        assert got_seen == seen
+
+    def test_matches_reference_on_seeded_battery(self):
+        # four labels at n = 10..14 run the cycle DFS most often: about one
+        # search in forty there differs if a chain may step to a matching
+        # edge listed before its first one
+        rng = random.Random(24)
+        for _ in range(500):
+            n = rng.randint(10, 14)
+            ell = rng.choice([3, 4, INFINITE])
+            size = rng.randint(n // 4, n // 2)
+            lab = random_labeling(n, ell, seed=rng.randrange(10**6))
+            seed = rng.randrange(10**6)
+            assert switch_local_search(lab, size, seed=seed).edges == \
+                reference_switch_local_search(lab, size, seed=seed).edges
 
 
 class TestConstructions:

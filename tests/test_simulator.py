@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -179,12 +180,16 @@ class TestGreedy:
         assert str(exc.value) == "vertices must lie in 0..7"
         assert g.queries_used == 0
 
-    def test_repeated_pool_vertex_refused_by_oracle(self):
-        # the pool check leaves repeats to the oracle: the second copy of 3
-        # is tested against the first
-        with pytest.raises(ValueError) as exc:
-            greedy_clique(new_instance(8, 1), 10, vertices=[3, 3])
-        assert str(exc.value) == "no self-loops: u and v must differ"
+    def test_repeated_pool_vertex_refused_before_any_query(self):
+        # the sorted pool puts repeats next to each other; left to the scan,
+        # [3, 5, 3] would query (3, 5) twice and return (5,), and [3, 3, 5, 6]
+        # would log (3, 6) twice before the oracle's self-loop refusal
+        for vertices, v in (([3, 3], 3), ([3, 5, 3], 3), ([3, 3, 5, 6], 3), ([6, 0, 6, 6], 6)):
+            g = new_instance(8, 1)
+            with pytest.raises(ValueError) as exc:
+                greedy_clique(g, 10, vertices=vertices)
+            assert str(exc.value) == f"vertices must be distinct; {v} repeats"
+            assert g.queries_used == 0
 
     def test_pool_at_the_edges_accepted(self):
         res = greedy_clique(new_instance(8, 1), 10, vertices=[7])
@@ -321,12 +326,12 @@ class TestRunLAdaptive:
             BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=vertices)
         assert str(exc.value) == "vertices must lie in 0..7"
 
-    def test_batched_repeated_pool_vertex_refused_by_oracle(self):
-        # round 0 reveals every pair of the pool, (3, 3) among them
-        strat = BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=[3, 3, 5])
-        with pytest.raises(ValueError) as exc:
-            run_l_adaptive(new_instance(8, 1), strat, 1.0, 2)
-        assert str(exc.value) == "no self-loops: u and v must differ"
+    def test_batched_repeated_pool_vertex_refused_before_any_query(self):
+        # refused by the strategy itself, before round 0 can reveal (3, 5)
+        for vertices in ([3, 3, 5], [3, 5, 3]):
+            with pytest.raises(ValueError) as exc:
+                BatchedGreedyStrategy(8, seed=1, budget=10, ell=2, vertices=vertices)
+            assert str(exc.value) == "vertices must be distinct; 3 repeats"
 
     def test_verification_past_budget_raises(self):
         # two round queries fit a budget of 2; re-querying the six pairs of
@@ -567,8 +572,18 @@ def test_pinned_transcripts(kind, n, seed, delta, ell, expected):
 # random.Random.shuffle and the budget test as used + reserve > budget. The
 # simulator's runs must match them query for query.
 
+def _reference_pool(n, vertices):
+    """range(n), or the pool sorted, with a repeated vertex refused first."""
+    if vertices is None:
+        return list(range(n))
+    repeats = sorted(v for v, count in collections.Counter(vertices).items() if count > 1)
+    if repeats:
+        raise ValueError(f"vertices must be distinct; {repeats[0]} repeats")
+    return sorted(vertices)
+
+
 def _reference_greedy(g, budget, vertices=None, scan_seed=None):
-    pool = list(range(g.n)) if vertices is None else sorted(vertices)
+    pool = _reference_pool(g.n, vertices)
     rng = random.Random((g.seed if scan_seed is None else scan_seed) ^ 0x9E3779B97F4A7C15)
     rng.shuffle(pool)
     query, log = g.query, g.query_log
@@ -591,8 +606,8 @@ def _reference_greedy(g, budget, vertices=None, scan_seed=None):
 
 
 def _reference_batched(n, seed, budget, ell, vertices=None):
+    pool = _reference_pool(n, vertices)
     strat = BatchedGreedyStrategy(n, seed=seed, budget=budget, ell=ell, vertices=vertices)
-    pool = list(range(n)) if vertices is None else sorted(vertices)
     random.Random(seed ^ 0xA5A5A5A5).shuffle(pool)
     strat.order = pool
     return strat

@@ -261,7 +261,7 @@ def _cmd_gamma(args) -> int:
             "ell": cv.ell, "entries": list(cv.entries), "s_value": cv.s_value,
         })
     elif args.cmd == "epscheck":
-        ok = partition_bounds.epsilon_check(args.ell, Fraction(args.epsilon))
+        ok = partition_bounds.epsilon_check(args.ell, args.epsilon)
         _emit(args, "true" if ok else "false", {
             "ell": args.ell, "epsilon": args.epsilon, "ok": ok,
         })

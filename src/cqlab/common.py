@@ -87,8 +87,4 @@ def as_fraction(value) -> Fraction:
 
 def fmt_float(x: float) -> str:
     """Fixed 9-decimal formatting used for all floating CLI/CSV output."""
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
     return f"{x:.9f}"

@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .common import (INFINITE, as_fraction, check_brute_cap, ell_text, int_fields,
                      is_infinite, parse_ell)
-from .partition_bounds import default_epsilon, epsilon_check
+from .partition_bounds import _weight_table, default_epsilon, epsilon_check
 
 TWO_LABEL = "two"
 THREE_LABEL = "three"
@@ -328,20 +328,6 @@ def random_labeling(n: int, ell, seed: int = 0) -> EdgeLabeling:
 # ---------------------------------------------------------------------------
 # switch local search
 # ---------------------------------------------------------------------------
-
-def _weight_table(max_label: int, eps: Fraction) -> list[int]:
-    """Integer label weights: entry t is label_weight(t, eps) * q**(M-2) for
-    eps = p/q and M = max_label, entries 0 and 1 are 0. Built by the exact
-    recurrence label_weight(t+1) = 2 label_weight(t) + eps**(t-1), scaled:
-    wint[2] = q**(M-2) and wint[t] = 2 wint[t-1] + p**(t-2) q**(M-t)."""
-    p, q = eps.numerator, eps.denominator
-    wint = [0] * (max_label + 1)
-    if max_label >= 2:
-        wint[2] = q ** (max_label - 2)
-        for t in range(3, max_label + 1):
-            wint[t] = 2 * wint[t - 1] + p ** (t - 2) * q ** (max_label - t)
-    return wint
-
 
 def _exchange_has_negative_cycle(W, edges, wm) -> bool:
     """Exact integer Bellman-Ford on the exchange digraph of a matching.

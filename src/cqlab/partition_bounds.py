@@ -112,24 +112,48 @@ def optimal_partition(k_vec, M) -> PartitionOptimum:
 
 
 def default_epsilon(ell) -> Fraction:
-    """Default weight-scheme perturbation: 2**(-ell) for finite ell (verified
-    by epsilon_check for 2..10), 1/4 in the totally ordered case where the
-    finitely many label inequalities do not arise."""
+    """Default weight-scheme perturbation: 2**(-ell) for finite ell, 1/4 in
+    the totally ordered case where the finitely many label inequalities do
+    not arise. epsilon_check passes 2**(-ell) for every ell >= 2: there
+    w(ell) - 2**(ell-2) = sum_{s=1}^{ell-2} 2**(ell-2-s(ell+1)) < 1/7."""
     if is_infinite(ell):
         return Fraction(1, 4)
     return Fraction(1, 2 ** int(ell))
 
 
+def _weight_table(max_label: int, eps: Fraction) -> list[int]:
+    """Integer label weights: entry t is label_weight(t, eps) * q**(M-2) for
+    eps = p/q and M = max_label, entries 0 and 1 are 0. Built by the exact
+    recurrence label_weight(t+1) = 2 label_weight(t) + eps**(t-1), scaled:
+    wint[2] = q**(M-2) and wint[t] = 2 wint[t-1] + p**(t-2) q**(M-t)."""
+    p, q = eps.numerator, eps.denominator
+    wint = [0] * (max_label + 1)
+    if max_label >= 2:
+        wint[2] = q ** (max_label - 2)
+        for t in range(3, max_label + 1):
+            wint[t] = 2 * wint[t - 1] + p ** (t - 2) * q ** (max_label - t)
+    return wint
+
+
 def epsilon_check(ell: int, epsilon) -> bool:
     """Exact check of the finitely many strict inequalities the weight scheme
-    needs for a given label count:
+    needs for a given label count, with w(t) = label_weight(t, eps):
 
-    (a) sum_{s=0}^{ell-2} 2**(ell-2-s) eps^s < 2**(ell-2) + 1, and
+    (a) w(ell) = sum_{s=0}^{ell-2} 2**(ell-2-s) eps^s < 2**(ell-2) + 1, and
     (b) for each 3 <= t <= ell-1, the weight of 2**(ell-t+1) - 1 label-t edges
         strictly exceeds the worst-case weight of the replacing edges:
         sum_{s=0}^{t-2} (2**(ell-1-s) - 2**(t-2-s)) eps^s
           > sum_{s=0}^{t-3} (2**(ell-1-s) - 2**(t-2-s)) eps^s
             + sum_{s=t-2}^{ell-2} 2**(ell-2-s) eps^s.
+
+    Only (a) is evaluated, on _weight_table in exact integers (both sides
+    scaled by q**(ell-2) for eps = p/q), because (a) implies (b). The left
+    side of (b) minus its right side is eps^(t-2) (2**(m-1) - 1 - w(m)) with
+    m = ell-t+2, so (b) at t reads w(m) < 2**(m-1) - 1 for m in 3..ell-1.
+    Without its s = 0 term, (a) reads sum_{s>=1} 2**(ell-2-s) eps^s < 1, so
+    its s = 1 term forces eps < 2**(3-ell) <= 1/2 when ell >= 4 (for
+    ell <= 3 there is no t). Then w(m) = 2**(m-2) sum_s (eps/2)^s
+    < 2**(m-2)/(1 - eps/2) < 2**m/3 <= 2**(m-1) - 1 for every m >= 3.
     """
     ell = validate_ell(ell, minimum=2)
     if is_infinite(ell):
@@ -137,20 +161,4 @@ def epsilon_check(ell: int, epsilon) -> bool:
     eps = as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-
-    lhs_a = sum(Fraction(2) ** (ell - 2 - s) * eps**s for s in range(ell - 1))
-    if not lhs_a < 2 ** (ell - 2) + 1:
-        return False
-
-    for t in range(3, ell):
-        red = sum(
-            (Fraction(2) ** (ell - 1 - s) - Fraction(2) ** (t - 2 - s)) * eps**s
-            for s in range(t - 1)
-        )
-        blue = sum(
-            (Fraction(2) ** (ell - 1 - s) - Fraction(2) ** (t - 2 - s)) * eps**s
-            for s in range(t - 2)
-        ) + sum(Fraction(2) ** (ell - 2 - s) * eps**s for s in range(t - 2, ell - 1))
-        if not red > blue:
-            return False
-    return True
+    return _weight_table(ell, eps)[ell] < (2 ** (ell - 2) + 1) * eps.denominator ** (ell - 2)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cqlab import _kernels
 from cqlab.common import INFINITE
-from cqlab.errors import NoCrossing, POutOfRange
+from cqlab.errors import NoCrossing, POutOfRange, RootDiagnostic
 from cqlab.bounds import (
     SCAN_STEP,
     CliqueBoundQuery,
@@ -384,6 +384,25 @@ class TestScanGrid:
                   + np.random.default_rng(21).uniform(1.0, 100.0, 50).tolist() + near)
         for upper in uppers:
             assert self.visited(upper) == [upper] + np.arange(upper, 1.0, -SCAN_STEP)[1:].tolist()
+
+
+class TestUndefinedPoints:
+    # a synthetic branch: negative below 2, undefined (inf) on [2, 3),
+    # positive from 3 on
+    @staticmethod
+    def evaluate(a):
+        return -1.0 if a < 2.0 else (math.inf if a < 3.0 else 1.0)
+
+    def test_undefined_point_never_ends_a_scan_bracket(self):
+        # the scan from 4 down meets 1 -> inf and inf -> -1, and neither
+        # cell has two defined ends, so no root is reported
+        assert _descending_root(self.evaluate, 4.0) == (math.inf, None)
+
+    def test_bisection_onto_the_boundary_raises(self):
+        # the geometric bracket [1.5, 3] has a defined positive upper end,
+        # but its bisection slides onto the undefined boundary at 2
+        with pytest.raises(RootDiagnostic, match="branch boundary was hit"):
+            _descending_root(self.evaluate, 1.5)
 
 
 class TestDenseAlphaUpper:

@@ -644,6 +644,20 @@ class TestCertifiedWindows:
         monkeypatch.setattr(K, "_argmin_window", lambda a, g, eta: (0.5 * l, math.inf))
         assert K._m1_window(a, d, g, eta, mstar, vstar) == (-math.inf, h)
 
+    def test_newton_without_a_negative_slope(self, monkeypatch):
+        # f'' that is not negative at m = 0 stops Newton before its first
+        # step: neither end counts, and m1 is the plain bisection's
+        a, d, g, eta = 3.0, 1.0, 0.375, 0.9
+        mstar = K._argmin_fprime(a, d, g, eta)  # fills _argmin_shape's cache
+        vstar = K._fprime_val(mstar, a, d, g, eta)
+        assert K._m1_window(a, d, g, eta, mstar, vstar) != (-math.inf, math.inf)
+        plain = plain_m1(a, d, g, eta)
+        fsecond = K._fsecond_val
+        monkeypatch.setattr(K, "_fsecond_val",
+                            lambda m, *rest: 0.0 if m == 0.0 else fsecond(m, *rest))
+        assert K._m1_window(a, d, g, eta, mstar, vstar) == (-math.inf, math.inf)
+        assert K._solve_m1_val(a, d, g, eta) == plain
+
     def test_m1_evaluation_count(self, monkeypatch):
         calls = [0]
 

@@ -12,6 +12,7 @@ from cqlab.labeled_graphs import (
     THREE_LABEL,
     TWO_LABEL,
     construction_min_ratio_analytic,
+    label_weight,
 )
 from cqlab.partition_bounds import (
     c_vector,
@@ -223,3 +224,62 @@ class TestEpsilonCheck:
     @settings(max_examples=20, deadline=None)
     def test_some_feasible_epsilon_exists(self, ell):
         assert epsilon_check(ell, Fraction(1, 2**ell)) is True
+
+
+def reference_b_sides(ell, eps, t):
+    """Both sides of condition (b) at label t, summed term by term as
+    epsilon_check's docstring writes them."""
+    red = sum(
+        (Fraction(2) ** (ell - 1 - s) - Fraction(2) ** (t - 2 - s)) * eps**s
+        for s in range(t - 1)
+    )
+    blue = sum(
+        (Fraction(2) ** (ell - 1 - s) - Fraction(2) ** (t - 2 - s)) * eps**s
+        for s in range(t - 2)
+    ) + sum(Fraction(2) ** (ell - 2 - s) * eps**s for s in range(t - 2, ell - 1))
+    return red, blue
+
+
+def reference_epsilon_check(ell, epsilon):
+    """Condition (a) and every (b), each summed term by term in Fractions;
+    epsilon_check's one comparison must give the same answer."""
+    eps = as_fraction(epsilon)
+    lhs_a = sum(Fraction(2) ** (ell - 2 - s) * eps**s for s in range(ell - 1))
+    if not lhs_a < 2 ** (ell - 2) + 1:
+        return False
+    for t in range(3, ell):
+        red, blue = reference_b_sides(ell, eps, t)
+        if not red > blue:
+            return False
+    return True
+
+
+@st.composite
+def ell_and_epsilon(draw):
+    # plain rationals, or epsilons on both sides of the (a) threshold 2**(3-ell)
+    ell = draw(st.integers(min_value=2, max_value=14))
+    if draw(st.booleans()):
+        eps = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    else:
+        eps = Fraction(2) ** (3 - ell) * Fraction(draw(st.integers(1, 150)), 97)
+    return ell, eps
+
+
+class TestEpsilonCheckAgreement:
+    @given(ell_and_epsilon())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_term_by_term_check(self, case):
+        ell, eps = case
+        assert epsilon_check(ell, eps) is reference_epsilon_check(ell, eps)
+
+    def test_b_sides_differ_by_the_scaled_weight_gap(self):
+        # the identity epsilon_check's docstring reads (b) through
+        epsilons = [Fraction(1, 2**12), Fraction(1, 64), Fraction(1, 10), Fraction(1, 3),
+                    Fraction(3, 7), Fraction(1), Fraction(10)]
+        for ell in range(4, 15):
+            for eps in epsilons:
+                for t in range(3, ell):
+                    red, blue = reference_b_sides(ell, eps, t)
+                    m = ell - t + 2
+                    gap = 2 ** (m - 1) - 1 - label_weight(m, eps, ell)
+                    assert red - blue == eps ** (t - 2) * gap

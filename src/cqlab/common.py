@@ -78,9 +78,7 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 

@@ -190,37 +190,29 @@ def is_critical(labeling: EdgeLabeling, matching: Matching, u: int, v: int) -> b
 def count_critical(labeling: EdgeLabeling, matching: Matching) -> CriticalReport:
     """Exhaustive pair scan. The ratio uses denominator C(2M, 2) regardless of
     N, so outward critical edges can push the raw count past the denominator
-    on partial matchings; both are reported."""
+    on partial matchings; both are reported.
+
+    The scan reads one map, cover[w] = the label of w's matching edge, and an
+    uncovered w reads 0. That is exact: every label is at least 1, so an
+    uncovered end never makes a pair critical, and a matching edge (u, v)
+    has cover[u] = cover[v] = its own label, so it is never critical.
+    """
     _validate(labeling, matching)
     labels = labeling._m.tolist()  # labels[u][v], 1-based, read without label()'s checks
-    partner = matching.partner_map()
-    edge_label = {}
-    clazz = {}
+    cover = {}
     for a, b in matching.edges:
-        lv = labels[a][b]
-        edge_label[a] = edge_label[b] = lv
-        clazz.setdefault(lv, set()).update((a, b))
-    total = outward = inner = 0
-    per_class = {lv: 0 for lv in clazz}
-    medges = set(matching.edges)
+        cover[a] = cover[b] = labels[a][b]
+    per_class = dict.fromkeys((cover[a] for a, _ in matching.edges), 0)
+    total = inner = 0
     for u, v in labeling.pairs():
-        if (u, v) in medges:
-            continue
-        cu = u in partner
-        cv = v in partner
-        if not (cu or cv):
-            continue
-        lab = labels[u][v]
-        crit = (cu and edge_label[u] > lab) or (cv and edge_label[v] > lab)
-        if not crit:
-            continue
-        total += 1
-        if cu and cv:
-            inner += 1
-            if edge_label[u] == edge_label[v]:
-                per_class[edge_label[u]] += 1
-        else:
-            outward += 1
+        lu, lv, lab = cover.get(u, 0), cover.get(v, 0), labels[u][v]
+        if lu > lab or lv > lab:
+            total += 1
+            if lu and lv:
+                inner += 1
+                if lu == lv:
+                    per_class[lu] += 1
+    outward = total - inner
     denom = math.comb(2 * matching.size, 2)
     return CriticalReport(
         critical_count=total,
@@ -250,13 +242,8 @@ def m_pair(matching: Matching, e: tuple[int, int]) -> tuple[int, int]:
 def e_switch(matching: Matching, e: tuple[int, int]) -> Matching:
     """Replace the two matching edges on e's quadruple by e and its partner."""
     u, v = min(e), max(e)
-    ep = m_pair(matching, (u, v))
-    partner = matching.partner_map()
-    removed = {
-        (min(u, partner[u]), max(u, partner[u])),
-        (min(v, partner[v]), max(v, partner[v])),
-    }
-    kept = [ed for ed in matching.edges if ed not in removed]
+    ep = m_pair(matching, (u, v))  # u and v lie on two different matching edges
+    kept = [ed for ed in matching.edges if u not in ed and v not in ed]
     return Matching(tuple(kept) + ((u, v), ep))
 
 
@@ -284,11 +271,12 @@ def min_critical_matching_bruteforce(
     Ties break to the lexicographically smallest sorted edge list. The scan
     counts critical edges vectorised over first-edge blocks of one table of
     the (N-2, size-1) matchings, so K_16 perfect matchings (2,027,025 of
-    them) take about 0.15 s and size 7 (16,216,200) about a second when the
-    labeling has no twins (vertices whose swap keeps every label). With
-    twins only canonical matchings are scored, with the same minimum and
-    witness: the two-, three- and four-label K_16 constructions take
-    0.01-0.02 s at size 8 and 0.07-0.11 s at size 7, on a 2-vCPU VM.
+    them) take about 0.09 s and size 7 (16,216,200) about 0.55 s when the
+    labeling has no twins (vertices whose swap keeps every label), as on a
+    random infinite-label K_16. With twins only canonical matchings are
+    scored, with the same minimum and witness: the two-, three- and
+    four-label K_16 constructions take about 0.01 s at size 8 and
+    0.05-0.06 s at size 7, best of 2 on a 2-vCPU VM.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")

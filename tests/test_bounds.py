@@ -10,6 +10,7 @@ from cqlab import _kernels
 from cqlab.common import INFINITE
 from cqlab.errors import NoCrossing, POutOfRange, RootDiagnostic
 from cqlab.bounds import (
+    ALPHA_TOL,
     SCAN_STEP,
     CliqueBoundQuery,
     DenseBoundQuery,
@@ -529,6 +530,107 @@ class TestAlpha2ClosedForm:
             alpha2_closed_form(1, 0.9)
         with pytest.raises(ValueError):
             alpha2_closed_form(2, 0.6)
+
+
+def _r_entropy(p):
+    # the test's own binary entropy, 0 log 0 = 0
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def _r(t, delta, gamma, eta):
+    # r(t) = (1 - (2 - delta) t)/g(t), g(t) = (1/2 - 2 gamma t^2)(1 - H(p(t))),
+    # p(t) = (eta/2 - 2 gamma t^2)/(1/2 - 2 gamma t^2): with m = t alpha,
+    # f = alpha^2 g(t) + alpha ((2 - delta) t - 1), so f >= 0 at some m
+    # exactly when alpha >= r(t) for some t
+    q = 2.0 * gamma * t * t
+    g = (0.5 - q) * (1.0 - _r_entropy((0.5 * eta - q) / (0.5 - q)))
+    return (1.0 - (2.0 - delta) * t) / g if g > 0.0 else math.inf
+
+
+def _r_min(lo, hi, delta, gamma, eta):
+    # min r on [lo, hi]: 2,001 samples, then a golden section between the
+    # best sample's neighbours
+    ts = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+    vs = [_r(t, delta, gamma, eta) for t in ts]
+    i = vs.index(min(vs))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, 2000)]
+    k = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - k * (b - a), a + k * (b - a)
+    rc, rd = _r(c, delta, gamma, eta), _r(d, delta, gamma, eta)
+    for _ in range(80):
+        if rc <= rd:
+            b, d, rd = d, c, rc
+            c = b - k * (b - a)
+            rc = _r(c, delta, gamma, eta)
+        else:
+            a, c, rc = c, d, rd
+            d = a + k * (b - a)
+            rd = _r(d, delta, gamma, eta)
+    return min(vs[i], rc, rd)
+
+
+def _t_star(gamma, eta):
+    # where f'' changes sign at alpha = 1 (f'' depends on t = m/alpha alone),
+    # by bisection on its sign; 1/2 when f'' < 0 on all of [0, 1/2]. With
+    # A = 1/2, q = 2 gamma t^2, D = A - q and N = eta A - q:
+    # f'' = -4 gamma (1 + log2(N/D)) + 16 gamma^2 t^2 A (1 - eta)/(D N ln 2)
+    def fsecond(t):
+        q = 2.0 * gamma * t * t
+        D, N = 0.5 - q, 0.5 * eta - q
+        return (-4.0 * gamma * (1.0 + math.log2(N / D))
+                + 8.0 * gamma * gamma * t * t * (1.0 - eta) / (D * N * math.log(2.0)))
+
+    if fsecond(0.5) < 0.0:
+        return 0.5
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if fsecond(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _r_queries():
+    grid = [(delta, ell, eta) for delta in (1.0, 1.5) for ell in (2, 3, 5, INFINITE)
+            for eta in (0.76, 0.8, 0.85, 0.9, 0.93, 0.95, 0.99)]
+    rng = np.random.default_rng(26)
+    ells = [2, 3, 4, 5, 7, 10, INFINITE]
+    for _ in range(30):
+        grid.append((float(rng.uniform(1.0, 1.99)), ells[int(rng.integers(len(ells)))],
+                     float(rng.uniform(0.7501, 1.0))))
+    return grid
+
+
+class TestMinimumOverT:
+    """The dense solver against r(t), a check that shares none of its search
+    code: alpha2 = r(1/2), alpha1_curve = min r on [0, t*] with t* the
+    f'-argmin shape, and alpha0 = min r on [0, 1/2]. The tolerances are
+    ALPHA_TOL plus a relative term for rounding; alpha2's is wider because F2's
+    rounding noise grows with alpha2."""
+
+    def test_roots_are_minima_of_r(self):
+        for delta, ell, eta in _r_queries():
+            gamma = resolve_gamma(ell)
+            sol = dense_alpha_upper(DenseBoundQuery(delta=delta, ell=ell, eta=eta))
+            r2 = _r(0.5, delta, gamma, eta)
+            r1 = _r_min(0.0, _t_star(gamma, eta), delta, gamma, eta)
+            r0 = _r_min(0.0, 0.5, delta, gamma, eta)
+            where = (delta, ell, eta)
+            assert abs(sol.alpha2 - r2) <= ALPHA_TOL + 2e-9 * r2, where
+            assert abs(sol.alpha1_curve - r1) <= ALPHA_TOL + 4e-10 * r1, where
+            assert abs(sol.alpha0 - r0) <= ALPHA_TOL + 4e-10 * r0, where
+
+    def test_f1_is_positive_at_the_trivial_bound(self):
+        # r(0) = 2/(1 - H(eta)), so F1's root never lies above it when delta < 2
+        for delta, ell, eta in _r_queries():
+            upper = trivial_dense_bound(eta)
+            assert _kernels.f1_values([upper], delta, resolve_gamma(ell), eta)[0] > 0.0
 
 
 class TestTrivialBound:

@@ -502,6 +502,13 @@ class TestDenseEvalParity:
         assert math.isfinite(f1)
         assert f1 == K._f_val(K._argmin_fprime(a, d, g, eta), a, d, g, eta)
 
+    def test_derivatives_read_inf_where_p_is_zero(self):
+        # at the model's edge m = alpha/2 with gamma = eta = 1/2, eta A = q
+        # exactly, so p = 0 and log2 p is undefined
+        assert K._p_val(1.5, 3.0, 0.5, 0.5) == 0.0
+        assert K._fprime_val(1.5, 3.0, 1.0, 0.5, 0.5) == math.inf
+        assert K._fsecond_val(1.5, 3.0, 1.0, 0.5, 0.5) == math.inf
+
     def test_dense_solutions_pinned(self):
         # every field and bracket of 16 solves, recorded before F1 had one
         # definition; the two-label rows at eta >= 0.937 have no stationary root

@@ -1018,6 +1018,9 @@ class TestSerialization:
         m = Matching(((1, 4), (2, 3)))
         assert matching_from_text(matching_to_text(m)) == m
 
+    def test_matching_skips_blank_lines(self):
+        assert matching_from_text("1 2\n\n3 4\n   \n").edges == ((1, 2), (3, 4))
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             labeling_from_text("")

@@ -1,15 +1,24 @@
 #!/bin/sh
-# Writes the sixteen outputs pinned in pinned-outputs.sha256 into the current
-# directory and checks their sha256 digests: the oracle's bits and the scan
-# orders (fully adaptive, round-limited, amplified, and amplified
+# Writes the eighteen outputs pinned in pinned-outputs.sha256 into the
+# current directory and checks their sha256 digests: the oracle's bits and
+# the scan orders (fully adaptive, round-limited, amplified, and amplified
 # round-limited transcripts), the dense solver's (the paper's two-label
 # table and two sweeps; the second reaches f'-argmins inside
-# (0, alpha/2)), the matching scan's (the minima of every construction
-# kind: three-label K_14, four-label K_16, two-label K_16 and
-# lexicographic K_12, and three-label K_13, whose size-6 matching leaves
-# one vertex uncovered), the switch local search's (three-label K_14,
-# four-label K_16 and lexicographic K_12) and beta's (beta(3, 3)). The
-# arguments are the command that runs cqlab:
+# (0, alpha/2)), the minimum critical matching's (every construction kind;
+# see the route of each below), the switch local search's (three-label
+# K_14, four-label K_16 and lexicographic K_12) and beta's (beta(3, 3)).
+# The minimum comes from the branch and bound, or from the table scan once
+# the search passes its node budget. The gamma*.json digests exercise:
+#   gamma.json      three-label K_14        branch and bound
+#   gamma16.json    four-label K_16         branch and bound
+#   gamma2.json     two-label K_16          branch and bound
+#   gamma316.json   three-label K_16        branch and bound
+#   gamma13.json    three-label K_13        branch and bound (size 6 leaves
+#                                           one vertex uncovered)
+#   gammalex.json   lexicographic K_12      table scan
+#   gammalex14.json lexicographic K_14      table scan (the benchmark's
+#                                           largest table)
+# The arguments are the command that runs cqlab:
 #   sh .github/pinned-outputs.sh cqlab
 #   sh .github/pinned-outputs.sh python -m cqlab
 set -eu
@@ -26,6 +35,8 @@ digests="$(cd "$(dirname "$0")" && pwd)/pinned-outputs.sha256"
 "$@" gamma verify --construction two --n 16 --brute-force --output json > gamma2.json
 "$@" gamma verify --construction lex --n 12 --brute-force --output json > gammalex.json
 "$@" gamma verify --construction three --n 13 --brute-force --output json > gamma13.json
+"$@" gamma verify --construction three --n 16 --brute-force --output json > gamma316.json
+"$@" gamma verify --construction lex --n 14 --brute-force --output json > gammalex14.json
 "$@" gamma verify --construction three --n 14 --local-search --seed 1 --output json > ls14.json
 "$@" gamma verify --construction four --n 16 --local-search --seed 2 --output json > ls16.json
 "$@" gamma verify --construction lex --n 12 --local-search --output json > lslex.json

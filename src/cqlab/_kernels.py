@@ -9,25 +9,37 @@ acyclic there is no alternating cycle, and the exact path DFS stops as soon
 as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
 bound (or a cyclic digraph) makes the path DFS exhaustive. Both take the
-bound from a caller that keeps it, as a RedBlueGraph does. The matching
+bound from a caller that keeps it, as a RedBlueGraph does.
+
+The minimum critical count is first sought by a depth-first branch and bound
+in plain Python over lists. It extends matchings edge by edge in the scans'
+lexicographic order, prunes a prefix whose count already reaches the best
+found, and covers a vertex only after its next lower twin (two vertices are
+twins when swapping them keeps every label, as inside a block of the
+paper's constructions). Twin-free K_16 labelings take 1-5 ms, the K_16
+constructions under 1 ms. Past a budget of max(128, rows // 128) prefixes,
+rows the number of matchings, the vectorised table scan answers instead,
+from the same per-edge terms; total orders such as the lexicographic
+labeling get there (K_16: 0.1 s at size 8, 0.85 s at size 7). The matching
 scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
 first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
 edge ids, read through the block's map to the edge ids of K_n. The blocks
 of one first vertex share their tail's first row and form a run; each run
 walks its own tail in row chunks, scoring each chunk for all its blocks at
 once, so no chunk starts inside a run, and no scan builds the (n, m) table.
-The minimum scan skips twin-equivalent matchings: where swapping two
-vertices keeps every label, as inside a block of the paper's constructions,
-it scores only the blocks whose first edge is canonical and, past one
-chunk, only the table rows whose first edge (the matching's second) is
-canonical for some kept block. The first minimiser is canonical, so the
-answer is the full scan's; the two-, three- and four-label K_16 scans at
-sizes 6-8 take 0.01-0.11 s on a 2-vCPU x86 machine, and a labeling with no
-twins (any total order on n >= 3 vertices) is scanned in full. The block tables of each (n, m) are
-built once per process and kept read-only when the (n-2, m-1) table has at
-most _MEMO_ROWS = 100,000 rows. The 49 keys with n <= 14 then take 1.72 MiB
-together and the 57 with n <= 16 (the default matching cap) 2.29 MiB; the
-K_16 tables of sizes 5-8 are rebuilt on every call.
+The minimum table scan skips twin-equivalent matchings: it scores only the
+blocks whose first edge is canonical and, past one chunk, only the table
+rows whose first edge (the matching's second) is canonical for some kept
+block. The first minimiser is canonical, so the answer is the full scan's;
+on the two-, three- and four-label K_16 at sizes 6-8 it takes 0.01-0.07 s,
+and a labeling with no twins (any total order on n >= 3 vertices) is
+scanned in full, 0.55 s for a K_16 at size 7. Timings are best of 2 or 3 on
+a 2-vCPU x86 machine. The block tables of each (n, m) are built once per
+process and kept read-only when the (n-2, m-1) table has at most _MEMO_ROWS
+= 100,000 rows. The 49 keys with n <= 14 then take 1.72 MiB together and
+the 57 with n <= 16 (the default matching cap) 2.29 MiB; the K_16 tables of
+sizes 5-8 are rebuilt on every call.
+
 The dense formulas f, f', f'', p and the entropy live here only, and so does
 `_bisect`, the one search loop behind the f'-argmin, the f' root m1 and the
 alpha and eta searches in `bounds`. The argmin and m1 searches pass it a
@@ -457,6 +469,31 @@ def _solve_m1_val(a, d, g, eta):
     return 0.5 * (lo + hi), True
 
 
+# min_critical_scan's branch and bound visits at most max(_BNB_SHARE, rows //
+# _BNB_SHARE) prefixes, rows the number of matchings, before the table scan
+# answers instead. A prefix costs 1-2 us and 128 table rows about 4.5 us
+# (K_14 and K_16 on a 2-vCPU VM), so a search that spends its budget adds
+# 25-50% to the table scan's time.
+_BNB_SHARE = 128
+
+
+def _scan_terms(lab):
+    """(a, b, single, both, prev) of a 0-based labeling for min_critical_scan:
+    the ends of the edges of K_n in id order, the inclusion-exclusion terms
+    and the twin classes."""
+    lab = np.ascontiguousarray(lab, dtype=np.int64)
+    a, b = _pairs(lab.shape[0])
+    L = lab[a, b]
+    # w = x's partner has label L_e, so it never counts; the terms w = x are
+    # subtracted, so no diagonal value is assumed
+    single = sum((lab[x] < L[:, None]).sum(1) - (lab[x, x] < L) for x in (a, b))
+    E = len(L)
+    lo = np.minimum.outer(L, L)
+    ab = np.concatenate((a, b))
+    both = (lab[ab][:, ab].reshape(2, E, 2, E) < lo[None, :, None, :]).sum((0, 2))
+    return a, b, single, both, _twin_classes(lab)
+
+
 def min_critical_scan(lab: np.ndarray, size: int):
     """Exact (min critical count, argmin matching edges) over all size-`size`
     matchings of the labeled K_n given as a 0-based symmetric (n, n) int64
@@ -465,6 +502,85 @@ def min_critical_scan(lab: np.ndarray, size: int):
     of M is sum_e single[e] - sum_{e<f} both[e, f]: single[e] counts pairs
     (x, w), x in e, w outside e, with lab(x, w) < L_e, and both[e, f] pairs
     x in e, y in f with lab(x, y) < min(L_e, L_f).
+
+    The branch and bound answers unless it visits more than max(128,
+    rows // 128) prefixes, rows = C(n, 2 size)(2 size - 1)!! the number of
+    matchings; then the table scan answers from the same terms. Both return
+    the count and first minimiser of the full scan."""
+    terms = _scan_terms(lab)
+    rows = math.comb(len(lab), 2 * size) * math.prod(range(1, 2 * size, 2))
+    return (_branch_and_bound(terms, size, max(_BNB_SHARE, rows // _BNB_SHARE))
+            or _table_scan(terms, size))
+
+
+def _branch_and_bound(terms, size, budget):
+    """min_critical_scan's answer by depth-first branch and bound, or None
+    once it has visited more than `budget` prefixes, the empty one included.
+    The lowest undecided vertex i is matched to each undecided v > i in
+    ascending order and then left uncovered, so matchings come in
+    lexicographic order. Adding edge e to a prefix P adds single[e] -
+    sum_{f in P} both[e, f] >= 0 to its count, since critical pairs are only
+    ever added, so a prefix's count bounds every completion from below and
+    pruning at count >= best keeps the first minimiser.
+
+    A vertex is covered only once its next lower twin u (see _twin_classes)
+    is, by an earlier edge or the same one. The first minimiser keeps this
+    rule: were w covered before u, or u never, swapping u and w would keep
+    the count, turn w's edge into a smaller one and change no edge before
+    it, giving a lexicographically smaller matching."""
+    a, b, single, both, prev = terms
+    n = len(prev)
+    single, both, prev = single.tolist(), both.tolist(), prev.tolist()
+    covered, prefix = [False] * n, []
+    best, best_ids, nodes = math.inf, None, 1
+
+    def extend(i, count, skips):
+        # every extension of prefix, whose count is `count`, that leaves at
+        # most `skips` more vertices uncovered, all vertices below i being
+        # decided; False once the budget is spent
+        nonlocal best, best_ids, nodes
+        while True:
+            while covered[i]:
+                i += 1
+            p = prev[i]
+            if p < 0 or covered[p]:
+                covered[i] = True
+                base = i * (2 * n - i - 3) // 2 - 1  # the id of (i, v) is base + v
+                for v in range(i + 1, n):
+                    q = prev[v]
+                    if covered[v] or (q >= 0 and not covered[q]):
+                        continue
+                    e = base + v
+                    row, c = both[e], count + single[e]
+                    for f in prefix:
+                        c -= row[f]
+                    if c >= best:
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        return False
+                    prefix.append(e)
+                    if len(prefix) == size:
+                        best, best_ids = c, prefix[:]
+                    else:
+                        covered[v] = True
+                        if not extend(i + 1, c, skips):
+                            return False
+                        covered[v] = False
+                    prefix.pop()
+                covered[i] = False
+            if not skips:
+                return True
+            i, skips = i + 1, skips - 1
+
+    if nodes > budget or not extend(0, 0, n - 2 * size):
+        return None
+    return best, np.column_stack((a[best_ids], b[best_ids]))
+
+
+def _table_scan(terms, size):
+    """min_critical_scan's answer from the first-edge blocks of the matching
+    table, scored in vectorised chunks.
 
     A matching is canonical when, reading the ends i < v of the first edge
     of the sorted edge list and then the ends x < y of the second, no end
@@ -476,15 +592,9 @@ def min_critical_scan(lab: np.ndarray, size: int):
     matching and still return the full scan's count and witness. It skips
     the blocks whose first edge is not canonical, and in tables longer than
     one chunk the rows whose first edge is canonical for no kept block."""
-    lab = np.ascontiguousarray(lab, dtype=np.int64)
-    n = lab.shape[0]
-    a, b = _pairs(n)
-    L = lab[a, b]
-    # w = x's partner has label L_e, so it never counts; the terms w = x are
-    # subtracted, so no diagonal value is assumed
-    single = sum((lab[x] < L[:, None]).sum(1) - (lab[x, x] < L) for x in (a, b))
+    a, b, single, both, prev = terms
+    n = len(prev)
     first, emap, start, sub = _first_edge_blocks(n, size)
-    prev = _twin_classes(lab)
     if prev.max() >= 0:
         # keep the blocks whose first edge (i, v) is canonical
         i, v = a[first], b[first]
@@ -510,10 +620,6 @@ def min_critical_scan(lab: np.ndarray, size: int):
             keep = own.any(1)
             first, emap, start = first[keep], emap[keep], np.searchsorted(rows, start[keep])
             sub = sub[rows]
-    E = len(L)
-    lo = np.minimum.outer(L, L)
-    ab = np.concatenate((a, b))
-    both = (lab[ab][:, ab].reshape(2, E, 2, E) < lo[None, :, None, :]).sum((0, 2))
     # The count of first[k] + R, R a tail row of block k, is single[first[k]]
     # plus a sum over R of W[k]: per edge f, single[f] - both[first[k], f],
     # and per pair f < g, -both[f, g] at column c2 + f * c2 + g, for the c2

@@ -65,7 +65,8 @@ class EdgeLabeling:
         npairs = self.n * (self.n - 1) // 2
         if len(labels) != npairs:
             raise ValueError(f"expected {npairs} labeled pairs, got {len(labels)}")
-        flat = [int(m[u, v]) for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)]
+        rows = m.tolist()
+        flat = [rows[u][v] for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)]
         if is_infinite(num_labels):
             if sorted(flat) != list(range(1, npairs + 1)):
                 raise ValueError("infinite mode needs ranks forming a permutation of 1..C(N,2)")
@@ -74,6 +75,7 @@ class EdgeLabeling:
             if bad:
                 raise ValueError(f"labels out of 1..{num_labels}: {sorted(set(bad))[:5]}")
         self._m = m
+        self._rows = rows  # _m as nested lists, rows[u][v]; read by the pure-Python scans
         self.blocks: tuple[int, ...] | None = None  # realized construction block sizes
 
     def label(self, u: int, v: int) -> int:
@@ -198,7 +200,7 @@ def count_critical(labeling: EdgeLabeling, matching: Matching) -> CriticalReport
     has cover[u] = cover[v] = its own label, so it is never critical.
     """
     _validate(labeling, matching)
-    labels = labeling._m.tolist()  # labels[u][v], 1-based, read without label()'s checks
+    labels = labeling._rows  # labels[u][v], 1-based, read without label()'s checks
     cover = {}
     for a, b in matching.edges:
         cover[a] = cover[b] = labels[a][b]
@@ -268,15 +270,17 @@ def min_critical_matching_bruteforce(
 ) -> tuple[Matching, CriticalReport]:
     """Exact minimum of the critical count over all size-`size` matchings.
 
-    Ties break to the lexicographically smallest sorted edge list. The scan
-    counts critical edges vectorised over first-edge blocks of one table of
-    the (N-2, size-1) matchings, so K_16 perfect matchings (2,027,025 of
-    them) take about 0.09 s and size 7 (16,216,200) about 0.55 s when the
-    labeling has no twins (vertices whose swap keeps every label), as on a
-    random infinite-label K_16. With twins only canonical matchings are
-    scored, with the same minimum and witness: the two-, three- and
-    four-label K_16 constructions take about 0.01 s at size 8 and
-    0.05-0.06 s at size 7, best of 2 on a 2-vCPU VM.
+    Ties break to the lexicographically smallest sorted edge list. A
+    branch and bound over matching prefixes answers first: on random
+    infinite-label K_16 at sizes 7 and 8 it takes 0.6-2.8 ms, and on the
+    two-, three- and four-label K_16 constructions at sizes 6-8 0.3-0.6 ms,
+    since only one matching per swap of twins (vertices whose swap keeps
+    every label) is tried. Past its budget, as on the lexicographic
+    labeling, a scan vectorised over first-edge blocks of one table of the
+    (N-2, size-1) matchings answers with the same minimum and witness: K_16
+    perfect matchings (2,027,025) then take about 0.1 s and size 7
+    (16,216,200) about 0.85 s, of which the scan takes 0.09 s and 0.57 s.
+    Best of 3 on a 2-vCPU VM.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
@@ -471,7 +475,7 @@ def switch_local_search(
         raise ValueError("epsilon must be positive")
     # clear denominators once: integer weights keep the inner loops exact+fast
     wint = _weight_table(max_label, eps)
-    W = [[wint[t] for t in row] for row in labeling._m.tolist()]
+    W = [[wint[t] for t in row] for row in labeling._rows]
 
     rng = random.Random(seed)
     verts = rng.sample(range(1, n + 1), 2 * size)

@@ -11,17 +11,25 @@ of their reprs. The certified windows of the f'-argmin and m1 searches are
 checked against the windowless bisection written out here, on random points
 and on each fallback route, and m1's evaluation count is bounded. The
 matching scans are checked here against a digest of their outputs recorded
-with the earlier partner-table scans, and on random labelings against
-count_critical over every matching of that oracle (minimum) and a sort of
-every matching's labels (anti-lex), at several chunk lengths; planted-twin
-block labelings, whose scans skip twin-equivalent matchings, are checked
-the same way at every size, and the twin classes against their definition.
-A fresh process bounds the peak memory of K_16 scans, pruned and full.
-Scans on a cleared and on a warm block-table memo agree, the kept tables
-are read-only, and K_16 scans keep none above the memo's row cap.
-tests/test_labeled_graphs.py checks the scans against itertools oracles
-too.
+with the earlier partner-table scans. The minimum's table scan, and the
+anti-lex scan, are checked on random labelings against count_critical over
+every matching of that oracle (minimum) and a sort of every matching's
+labels (anti-lex), at several chunk lengths; planted-twin block labelings,
+whose scans skip twin-equivalent matchings, are checked the same way at
+every size, and the twin classes against their definition. The minimum's
+branch and bound, with no budget, is checked against the same oracle on
+both kinds of labeling at every size and two label scales, and against the
+table scan on twin-free K_14 and K_16; a budget of 0 answers nothing, the
+twin rule's node count is pinned on a construction, the lexicographic K_12
+at size 6 passes its budget and gets the table scan's answer, and over the
+digest's battery the public entry takes both routes.
+A fresh process bounds the peak memory of K_16 table scans, pruned and
+full. Table scans on a cleared and on a warm block-table memo agree, the
+kept tables are read-only, and K_16 scans keep none above the memo's row
+cap. tests/test_labeled_graphs.py checks the public scans against itertools
+oracles too.
 """
+import collections
 import contextlib
 import gc
 import hashlib
@@ -139,6 +147,15 @@ def _scan_battery():
     return [(lab, size) for lab in labs for size in range(1, lab.shape[0] // 2 + 1)]
 
 
+def _oracle_minimum(lab, size):
+    # count_critical's minimum over every size-`size` matching of lab, and
+    # the first matching that takes it, 0-based, in lexicographic order
+    matchings = _oracle_matchings(lab.n, size)
+    counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
+              for m in matchings]
+    return min(counts), matchings[counts.index(min(counts))]
+
+
 @st.composite
 def _scan_cases(draw):
     # a random labeling of K_n, n 4-10, with 2, 3, 4 or infinitely many
@@ -167,6 +184,11 @@ def _planted_twin_cases(draw):
     labels = {(u + 1, v + 1): rule[block[u], block[v]]
               for u in range(n) for v in range(u + 1, n)}
     return EdgeLabeling(n, ell, labels), draw(st.sampled_from([1, 10**11]))
+
+
+def _table_route(lab, size):
+    # min_critical_scan's table scan alone, the route past the search's budget
+    return K._table_scan(K._scan_terms(lab), size)
 
 
 def _chunked(scan, lab, size):
@@ -203,13 +225,10 @@ class TestMatchingScans:
         # the inclusion-exclusion count's minimum and first minimiser equal
         # those of count_critical over every matching, in lexicographic order
         lab, size, scale = case
-        matchings = _oracle_matchings(lab.n, size)
-        counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
-                  for m in matchings]
-        best = min(counts)
-        for count, edges in _chunked(K.min_critical_scan, lab.matrix0() * scale, size):
+        best, first = _oracle_minimum(lab, size)
+        for count, edges in _chunked(_table_route, lab.matrix0() * scale, size):
             assert count == best
-            assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
+            assert tuple(map(tuple, edges.tolist())) == first
 
     @given(_scan_cases())
     @settings(max_examples=40, deadline=None)
@@ -230,20 +249,18 @@ class TestMatchingScans:
         lab, scale = case
         assert K._twin_classes(lab.matrix0()).max() >= 0  # the scan prunes
         for size in range(1, lab.n // 2 + 1):
-            matchings = _oracle_matchings(lab.n, size)
-            counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m)))
-                      .critical_count for m in matchings]
-            best = min(counts)
-            for count, edges in _chunked(K.min_critical_scan, lab.matrix0() * scale, size):
+            best, first = _oracle_minimum(lab, size)
+            for count, edges in _chunked(_table_route, lab.matrix0() * scale, size):
                 assert count == best
-                assert tuple(map(tuple, edges.tolist())) == matchings[counts.index(best)]
+                assert tuple(map(tuple, edges.tolist())) == first
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads Linux VmHWM")
     def test_k16_memory(self):
-        # A fresh process scans the two-label K_16 at sizes 7 (16,216,200
-        # matchings) and 8 (2,027,025), which the twin pruning leaves almost
-        # empty, and a seeded infinite-label K_16 at size 7, which has no
-        # twins and so scans every matching. A table of every size-7 matching
+        # A fresh process runs the table scan, the route past the search's
+        # budget, on the two-label K_16 at sizes 7 (16,216,200 matchings)
+        # and 8 (2,027,025), which the twin pruning leaves almost empty, and
+        # on a seeded infinite-label K_16 at size 7, which has no twins and
+        # so scans every matching. A table of every size-7 matching
         # alone takes 227 MB, and a scan that built one peaked at 275 MB. The
         # peak is the process's VmHWM: ru_maxrss of an exec'd child starts
         # from its parent's peak, which a full test run takes far past the
@@ -253,8 +270,8 @@ class TestMatchingScans:
                 "from cqlab.labeled_graphs import make_construction, random_labeling; "
                 "lab = make_construction('two', 16).matrix0(); "
                 "inf = random_labeling(16, INFINITE, seed=16).matrix0(); "
-                "print(K.min_critical_scan(lab, 7)[0], K.min_critical_scan(lab, 8)[0], "
-                "K.min_critical_scan(inf, 7)[0], "
+                "scan = lambda m, size: K._table_scan(K._scan_terms(m), size); "
+                "print(scan(lab, 7)[0], scan(lab, 8)[0], scan(inf, 7)[0], "
                 "re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(Path(K.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
@@ -262,6 +279,111 @@ class TestMatchingScans:
                              text=True, check=True, timeout=60).stdout.split()
         assert out[:3] == ["24", "32", "6"]
         assert int(out[3]) < 120 * 1024
+
+
+class TestBranchAndBound:
+    # the search that answers min_critical_scan within its budget
+
+    @staticmethod
+    def _spy_on_table_scan(monkeypatch):
+        # the size of each table scan run from here on, in call order
+        table_scan, sizes = K._table_scan, []
+
+        def spy(terms, size):
+            sizes.append(size)
+            return table_scan(terms, size)
+
+        monkeypatch.setattr(K, "_table_scan", spy)
+        return sizes
+
+    @staticmethod
+    def _search_agrees(lab):
+        # with no budget, at every size and at scales 1 and 10^11, the
+        # search keeps count_critical's minimum and first minimiser
+        for size in range(1, lab.n // 2 + 1):
+            best, first = _oracle_minimum(lab, size)
+            for scale in (1, 10**11):
+                count, edges = K._branch_and_bound(K._scan_terms(lab.matrix0() * scale), size,
+                                                   math.inf)
+                assert count == best
+                assert tuple(map(tuple, edges.tolist())) == first
+
+    @given(_scan_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_unlimited_over_count_critical(self, case):
+        self._search_agrees(case[0])
+
+    @given(_planted_twin_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_planted_twins_unlimited_over_count_critical(self, case):
+        lab, _ = case
+        assert K._twin_classes(lab.matrix0()).max() >= 0  # the twin rule prunes
+        self._search_agrees(lab)
+
+    def test_twin_free_k14_k16_equal_the_table_scan(self):
+        # seeded labelings without twins: K_14 with 2, 3, 4 and infinitely
+        # many labels at sizes 5-7, and infinite-label K_16 at sizes 7 and 8,
+        # where the table scan takes up to about half a second
+        cases = [(random_labeling(14, ell, seed=s), size)
+                 for s, ell in enumerate((2, 3, 4, INFINITE)) for size in (5, 6, 7)]
+        cases += [(random_labeling(16, INFINITE, seed=16), 7)]
+        cases += [(random_labeling(16, INFINITE, seed=s), 8) for s in (1, 2)]
+        for lab, size in cases:
+            terms = K._scan_terms(lab.matrix0())
+            assert terms[4].max() < 0
+            count, edges = K._table_scan(terms, size)
+            for got in (K._branch_and_bound(terms, size, math.inf),
+                        K.min_critical_scan(lab.matrix0(), size)):
+                assert got[0] == count and got[1].tolist() == edges.tolist()
+
+    def test_budget_zero_answers_nothing(self):
+        # the empty prefix is the first node, so no budget below 1 answers
+        labs = [make_construction(kind, 12).matrix0() for kind in CONSTRUCTION_KINDS]
+        labs += [random_labeling(n, INFINITE, seed=n).matrix0() for n in (2, 3, 9)]
+        for lab in labs:
+            terms = K._scan_terms(lab)
+            for size in range(1, lab.shape[0] // 2 + 1):
+                assert K._branch_and_bound(terms, size, 0) is None
+                assert K._branch_and_bound(terms, size, math.inf) is not None
+
+    def test_twin_rule_prunes_at_every_depth(self):
+        # The two-label K_14 at size 6 needs 24 nodes. Matching the lowest
+        # vertex although its next lower twin was left uncovered makes it
+        # 96, and dropping the twin rule altogether 262,791.
+        terms = K._scan_terms(make_construction("two", 14).matrix0())
+        count, edges = K._table_scan(terms, 6)
+        assert K._branch_and_bound(terms, 6, 23) is None
+        got = K._branch_and_bound(terms, 6, 24)
+        assert got[0] == count and got[1].tolist() == edges.tolist()
+
+    def test_lex_k12_falls_back_to_the_table_scan(self, monkeypatch):
+        # The search needs 13,064 nodes on the lexicographic K_12 at size 6,
+        # against a budget of max(128, 10,395 // 128) = 128, so the public
+        # entry answers with the table scan's output.
+        lab = EdgeLabeling.lexicographic(12).matrix0()
+        terms = K._scan_terms(lab)
+        count, edges = K._table_scan(terms, 6)
+        assert K._branch_and_bound(terms, 6, 13063) is None
+        got = K._branch_and_bound(terms, 6, 13064)
+        assert got[0] == count and got[1].tolist() == edges.tolist()
+        table = self._spy_on_table_scan(monkeypatch)
+        got = K.min_critical_scan(lab, 6)
+        assert got[0] == count and got[1].tolist() == edges.tolist()
+        assert table == [6]
+
+    def test_every_route_is_reached(self, monkeypatch):
+        # over the digest battery, the search answers 430 scans, 92 of them
+        # on labelings with twins; the table scan answers the other 14, all
+        # without twins: the lexicographic K_8 to K_12 at sizes 4 and up, and
+        # five random K_11 and K_12 at their largest size, two of them with
+        # 3 or 4 labels
+        table = self._spy_on_table_scan(monkeypatch)
+        routes = collections.Counter()
+        for lab, size in _scan_battery():
+            table.clear()
+            K.min_critical_scan(lab, size)
+            routes["table" if table else "search", K._twin_classes(lab).max() >= 0] += 1
+        assert routes == {("search", False): 338, ("search", True): 92, ("table", False): 14}
 
 
 def _twins_by_swap(lab):
@@ -312,7 +434,8 @@ class TestTwinClasses:
 
 class TestBlocksMemo:
     # _first_edge_blocks keeps its tables per (n, m) when the (n-2, m-1)
-    # table has at most _MEMO_ROWS rows
+    # table has at most _MEMO_ROWS rows. The scans here take the table route,
+    # since the public entry may answer by the search before any table exists.
 
     def test_cold_and_warm_scans_agree(self):
         # every scan on a cleared memo builds its tables afresh; a memo warm
@@ -328,7 +451,7 @@ class TestBlocksMemo:
                 for size in sizes:
                     if cold:
                         K._blocks_memo.clear()
-                    count, edges = K.min_critical_scan(lab, size)
+                    count, edges = _table_route(lab, size)
                     if cold:
                         K._blocks_memo.clear()
                     out.append((count, edges.tolist(), K.anti_lex_scan(lab, size).tolist()))
@@ -340,15 +463,15 @@ class TestBlocksMemo:
             assert scans(False) == cold
 
     def test_kept_arrays_are_read_only(self):
-        K.min_critical_scan(random_labeling(10, 3, seed=1).matrix0(), 4)
+        _table_route(random_labeling(10, 3, seed=1).matrix0(), 4)
         for arr in K._blocks_memo[10, 4]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
 
     def test_k16_keeps_no_entry_above_the_row_cap(self):
         lab = make_construction("two", 16).matrix0()
-        assert K.min_critical_scan(lab, 7)[0] == 24
-        assert K.min_critical_scan(lab, 8)[0] == 32
+        assert _table_route(lab, 7)[0] == 24
+        assert _table_route(lab, 8)[0] == 32
         assert all(len(sub) <= K._MEMO_ROWS for *_, sub in K._blocks_memo.values())
         assert (16, 7) not in K._blocks_memo and (16, 8) not in K._blocks_memo
         assert len(K._blocks_memo[14, 6][3]) == 62370  # the largest kept table

@@ -1,12 +1,14 @@
 #!/bin/sh
-# Writes the eighteen outputs pinned in pinned-outputs.sha256 into the
+# Writes the twenty-four outputs pinned in pinned-outputs.sha256 into the
 # current directory and checks their sha256 digests: the oracle's bits and
 # the scan orders (fully adaptive, round-limited, amplified, and amplified
 # round-limited transcripts), the dense solver's (the paper's two-label
 # table and two sweeps; the second reaches f'-argmins inside
 # (0, alpha/2)), the minimum critical matching's (every construction kind;
 # see the route of each below), the switch local search's (three-label
-# K_14, four-label K_16 and lexicographic K_12) and beta's (beta(3, 3)).
+# K_14, four-label K_16 and lexicographic K_12) and beta's (beta(3, 3), the
+# even k = 6, x = 16 and odd k = 5, x = 12 constructions with the files they
+# write, and the cycle and path checks of those files).
 # The minimum comes from the branch and bound, or from the table scan once
 # the search passes its node budget. The gamma*.json digests exercise:
 #   gamma.json      three-label K_14        branch and bound
@@ -41,4 +43,8 @@ digests="$(cd "$(dirname "$0")" && pwd)/pinned-outputs.sha256"
 "$@" gamma verify --construction four --n 16 --local-search --seed 2 --output json > ls16.json
 "$@" gamma verify --construction lex --n 12 --local-search --output json > lslex.json
 "$@" beta brute --k 3 --x 3 --output json > beta.json
+"$@" beta build --k 6 --x 16 --out beta616.txt --output json > betabuild616.json
+"$@" beta build --k 5 --x 12 --out beta512.txt --output json > betabuild512.json
+"$@" beta check beta616.txt --k 6 --output json > betacheck616.json
+"$@" beta check beta512.txt --k 5 --output json > betacheck512.json
 sha256sum -c "$digests"

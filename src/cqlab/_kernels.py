@@ -8,8 +8,10 @@ with an arc v -> w^1 per blue edge {v, w} (both ways). When that digraph is
 acyclic there is no alternating cycle, and the exact path DFS stops as soon
 as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
-bound (or a cyclic digraph) makes the path DFS exhaustive. Both take the
-bound from a caller that keeps it, as a RedBlueGraph does.
+bound (or a cyclic digraph) makes the path DFS exhaustive. Both read the
+graph as it was built, one list of neighbour lists, and take the bound as an
+optional argument: a RedBlueGraph computes it once for both, and
+beta_bruteforce grows one adjacency in place and lets each call compute it.
 
 The minimum critical count is first sought by a depth-first branch and bound
 in plain Python over lists. It extends matchings edge by edge in the scans'
@@ -59,8 +61,9 @@ Encodings used throughout:
     table; the id of (u, v), u < v, is its rank in lexicographic order from
     0, which is np.triu_indices order;
   * red/blue graphs: red edge i joins vertices 2i and 2i+1, so the red partner
-    of v is v ^ 1; blue adjacency is CSR as two lists (indptr, indices),
-    vertices 0-based.
+    of v is v ^ 1; blue adjacency is one list adj of ascending neighbour
+    lists, adj[v] for the 0-based vertex v, so the graph has len(adj)
+    vertices.
 """
 from __future__ import annotations
 
@@ -196,22 +199,21 @@ def _first_lex_min(keys):
 # alternating-structure search
 # ---------------------------------------------------------------------------
 
-def _dag_bound_core(indptr, indices, nv):
+def _dag_bound_core(adj):
     # Longest path, in arcs, of the digraph D with an arc v -> w^1 for each
     # blue edge {v, w} taken both ways (node v: "just crossed a red edge into
     # v"), or -1 when D has a directed cycle. An alternating cycle is a closed
     # walk in D and a vertex-simple alternating path with b blue edges a
     # b-arc walk, so an acyclic D rules out cycles and bounds the path
     # maximum. Kahn's order: a node is settled once all its in-arcs are.
-    indeg = [0] * nv
-    for w in indices:
-        indeg[w ^ 1] += 1
+    nv = len(adj)
+    indeg = [len(adj[u ^ 1]) for u in range(nv)]  # the arcs v -> u come from adj[u ^ 1]
     order = [v for v in range(nv) if indeg[v] == 0]
     dist = [0] * nv
     best = 0
     for v in order:  # also visits the nodes appended below
         d = dist[v] + 1
-        for w in indices[indptr[v]:indptr[v + 1]]:
+        for w in adj[v]:
             u = w ^ 1
             if dist[u] < d:
                 dist[u] = d
@@ -223,7 +225,7 @@ def _dag_bound_core(indptr, indices, nv):
     return best if len(order) == nv else -1
 
 
-def _walk(indptr, indices, visited, s, take):
+def _walk(adj, visited, s, take):
     # Depth-first walk over the vertex-simple alternating paths that leave s
     # by a blue edge: each step crosses a blue edge into w, then w's red edge
     # into w ^ 1. take(w, blue) is called on each blue edge into an unvisited
@@ -232,7 +234,7 @@ def _walk(indptr, indices, visited, s, take):
     # continues through w only when w ^ 1 is unvisited as well. A stack of
     # neighbour iterators replaces recursion, so path length has no limit.
     visited[s] = True
-    stack = [iter(indices[indptr[s]:indptr[s + 1]])]
+    stack = [iter(adj[s])]
     path = []  # the blue endpoints w entered, one per stack entry above s
     while stack:
         for w in stack[-1]:
@@ -244,7 +246,7 @@ def _walk(indptr, indices, visited, s, take):
             if not visited[w2]:
                 visited[w] = visited[w2] = True
                 path.append(w)
-                stack.append(iter(indices[indptr[w2]:indptr[w2 + 1]]))
+                stack.append(iter(adj[w2]))
                 break
         else:
             stack.pop()
@@ -255,12 +257,12 @@ def _walk(indptr, indices, visited, s, take):
     return False
 
 
-def _max_blue_core(indptr, indices, nv, cap):
+def _max_blue_core(adj, cap):
     # Exact maximum number of blue edges over vertex-simple alternating paths,
     # or cap as soon as some path reaches it (cap >= the true maximum makes
-    # the answer exact; cap = nv never triggers). Any maximum is attained by
-    # a path that starts and ends with blue (leading/trailing red edges only
-    # add vertices), so walking from every vertex is exhaustive.
+    # the answer exact; cap = len(adj) never triggers). Any maximum is
+    # attained by a path that starts and ends with blue (leading/trailing red
+    # edges only add vertices), so walking from every vertex is exhaustive.
     best = 0
 
     def take(w, blue):
@@ -269,23 +271,23 @@ def _max_blue_core(indptr, indices, nv, cap):
             best = blue
         return best >= cap
 
-    visited = [False] * nv
-    for s in range(nv):
-        if _walk(indptr, indices, visited, s, take):
+    visited = [False] * len(adj)
+    for s in range(len(adj)):
+        if _walk(adj, visited, s, take):
             break
     return best
 
 
-def _has_cycle_core(indptr, indices, nv):
+def _has_cycle_core(adj):
     # Alternating cycle through red edge (s, s+1), oriented to leave s by a
     # blue edge and re-enter s+1 by a blue edge; trying every even s covers
     # every red edge a cycle could use. s+1 stays unmarked: only s reaches it
     # by red, so the walk never passes through it, and every blue edge into
     # it closes a cycle (a blue edge s-s+1 would duplicate the red edge,
     # which RedBlueGraph rejects).
-    visited = [False] * nv
-    for s in range(0, nv, 2):
-        if _walk(indptr, indices, visited, s, lambda w, blue: w == s + 1):
+    visited = [False] * len(adj)
+    for s in range(0, len(adj), 2):
+        if _walk(adj, visited, s, lambda w, blue: w == s + 1):
             return True
     return False
 
@@ -530,7 +532,10 @@ def _branch_and_bound(terms, size, budget):
     it, giving a lexicographically smaller matching."""
     a, b, single, both, prev = terms
     n = len(prev)
-    single, both, prev = single.tolist(), both.tolist(), prev.tolist()
+    single, prev = single.tolist(), prev.tolist()
+    # rows[e] is both[e, :e] as a list, converted when e is first tried: a
+    # prefix holds only edges of lower vertices, so of lower ids
+    rows = [None] * len(single)
     covered, prefix = [False] * n, []
     best, best_ids, nodes = math.inf, None, 1
 
@@ -551,7 +556,9 @@ def _branch_and_bound(terms, size, budget):
                     if covered[v] or (q >= 0 and not covered[q]):
                         continue
                     e = base + v
-                    row, c = both[e], count + single[e]
+                    row, c = rows[e], count + single[e]
+                    if row is None:
+                        row = rows[e] = both[e, :e].tolist()
                     for f in prefix:
                         c -= row[f]
                     if c >= best:
@@ -679,30 +686,30 @@ def anti_lex_scan(lab: np.ndarray, size: int):
     return np.column_stack((a[ids], b[ids]))
 
 
-def alt_path_max_blue(indptr: list[int], indices: list[int], nv: int, bound=None) -> int:
+def alt_path_max_blue(adj: list[list[int]], bound=None) -> int:
     """Exact blue maximum over alternating paths, or -1 when the graph has an
-    alternating cycle. `bound` is _dag_bound_core of the same graph when the
-    caller keeps it; otherwise it is computed here, once. When the digraph is
-    acyclic, the DFS stops at the first path that reaches its bound. A
-    cyclic digraph runs the cycle DFS, which answers -1 on a cycle;
-    otherwise the path DFS caps at nv // 2, which only a path through every
-    vertex reaches."""
+    alternating cycle. `bound` is _dag_bound_core(adj) when the caller keeps
+    it; otherwise it is computed here, once. When the digraph is acyclic,
+    the DFS stops at the first path that reaches its bound. A cyclic
+    digraph runs the cycle DFS, which answers -1 on a cycle; otherwise the
+    path DFS caps at len(adj) // 2, since a path with b blue edges visits
+    2b vertices."""
     if bound is None:
-        bound = _dag_bound_core(indptr, indices, nv)
+        bound = _dag_bound_core(adj)
     if bound < 0:
-        if _has_cycle_core(indptr, indices, nv):
+        if _has_cycle_core(adj):
             return -1
-        bound = nv // 2
-    return _max_blue_core(indptr, indices, nv, bound)
+        bound = len(adj) // 2
+    return _max_blue_core(adj, bound)
 
 
-def alt_cycle_exists(indptr: list[int], indices: list[int], nv: int, bound=None) -> bool:
+def alt_cycle_exists(adj: list[list[int]], bound=None) -> bool:
     """Exact alternating-cycle test: an acyclic digraph answers False at
     once; only a cyclic one runs the DFS, since a closed walk there need not
     contain a vertex-simple cycle. `bound` is as in alt_path_max_blue."""
     if bound is None:
-        bound = _dag_bound_core(indptr, indices, nv)
-    return bound < 0 and _has_cycle_core(indptr, indices, nv)
+        bound = _dag_bound_core(adj)
+    return bound < 0 and _has_cycle_core(adj)
 
 
 def f1_values(alphas, delta, gamma, eta):

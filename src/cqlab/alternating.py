@@ -8,6 +8,7 @@ alternating cycle and no alternating path carrying k or more blue edges.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -25,15 +26,24 @@ def red_partner(v: int) -> int:
     return v + 1 if v % 2 == 1 else v - 1
 
 
-def _csr(nv: int, edges) -> tuple[list[int], list[int]]:
-    # CSR (indptr, indices) of 1-based edges on nv vertices, 0-based, with
-    # each vertex's neighbours in the order of `edges`
-    nbrs = [[] for _ in range(nv)]
+def _adjacency(edges) -> list[list[int]]:
+    # The kernels' blue adjacency of 1-based edges: ascending 0-based
+    # neighbour lists over only the red edges that carry a blue edge,
+    # renumbered in order, so red partners stay v ^ 1 and the lists grow
+    # with the blue edges, not with x. Every answer is kept: a vertex
+    # without a blue edge lies on no cycle and adds no blue edge to a path,
+    # and a path with b blue edges visits 2b kept vertices.
+    nbrs = collections.defaultdict(list)
     for u, v in edges:
         nbrs[u - 1].append(v - 1)
         nbrs[v - 1].append(u - 1)
-    indptr = list(itertools.accumulate(map(len, nbrs), initial=0))
-    return indptr, [w for a in nbrs for w in a]
+    reds = sorted({v >> 1 for v in nbrs})
+    if not reds or reds[-1] < len(reds):  # kept: red edges 0..len(reds)-1, ids unchanged
+        return [sorted(nbrs[v]) for v in range(2 * len(reds))]
+    new = {}
+    for i, r in enumerate(reds):
+        new[2 * r], new[2 * r + 1] = 2 * i, 2 * i + 1
+    return [sorted(map(new.__getitem__, nbrs[v])) for v in new]
 
 
 @dataclass(frozen=True)
@@ -46,17 +56,15 @@ class RedBlueGraph:
         x = self.num_red
         if x < 1:
             raise ValueError("need at least one red edge")
-        canon = set()
-        for u, v in self.blue_edges:
-            u, v = min(u, v), max(u, v)
+        canon = frozenset([(u, v) if u < v else (v, u) for u, v in self.blue_edges])
+        for u, v in canon:
             if u == v:
                 raise ValueError(f"loop blue edge ({u}, {v})")
-            if not (1 <= u and v <= 2 * x):
+            if u < 1 or v > 2 * x:
                 raise ValueError(f"blue edge ({u}, {v}) outside the 2x={2*x} carrier")
-            if red_partner(u) == v:
+            if v == u + 1 and u % 2 == 1:
                 raise ValueError(f"blue edge ({u}, {v}) duplicates a red edge")
-            canon.add((u, v))
-        object.__setattr__(self, "blue_edges", frozenset(canon))
+        object.__setattr__(self, "blue_edges", canon)
 
     @property
     def num_vertices(self) -> int:
@@ -64,19 +72,30 @@ class RedBlueGraph:
 
     @functools.cached_property
     def _blue_csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        indptr, indices = _csr(self.num_vertices, sorted(self.blue_edges))
-        return tuple(indptr), tuple(indices)
+        nbrs = [[] for _ in range(self.num_vertices)]
+        for u, v in sorted(self.blue_edges):
+            nbrs[u - 1].append(v - 1)
+            nbrs[v - 1].append(u - 1)
+        return (tuple(itertools.accumulate(map(len, nbrs), initial=0)),
+                tuple(w for a in nbrs for w in a))
 
     def csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """0-based blue adjacency in CSR form (indptr, indices) for the kernels,
-        built once per graph: the graph is frozen, so the tuples are shared."""
+        """0-based blue adjacency over all 2x vertices in CSR form (indptr,
+        indices), each vertex's neighbours ascending; built once per graph,
+        since the graph is frozen. The kernels do not read it: they take
+        the adjacency lists the graph builds once for its checks."""
         return self._blue_csr
+
+    @functools.cached_property
+    def _adj(self) -> list[list[int]]:
+        # the kernels' adjacency, built on the first check and shared by both
+        return _adjacency(self.blue_edges)
 
     @functools.cached_property
     def _dag_bound(self) -> int:
         # the kernels' digraph bound (longest path, or -1 when cyclic), one
         # linear pass per graph, shared by the cycle test and the path maximum
-        return _kernels._dag_bound_core(*self._blue_csr, self.num_vertices)
+        return _kernels._dag_bound_core(self._adj)
 
 
 def has_alternating_cycle(g: RedBlueGraph) -> bool:
@@ -86,8 +105,7 @@ def has_alternating_cycle(g: RedBlueGraph) -> bool:
     acyclic the answer is False at once. Otherwise an exact DFS over
     vertex-simple alternating closed walks decides: a closed walk of the
     digraph need not contain a simple alternating cycle."""
-    indptr, indices = g.csr()
-    return _kernels.alt_cycle_exists(indptr, indices, g.num_vertices, g._dag_bound)
+    return _kernels.alt_cycle_exists(g._adj, g._dag_bound)
 
 
 def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
@@ -98,9 +116,9 @@ def max_blue_in_alternating_path(g: RedBlueGraph) -> int:
     b-arc walk there; the exact DFS stops at the first path with L blue
     edges and searches exhaustively only when none exists. A cyclic digraph
     gives no bound: the cycle DFS runs, a cycle comes back as -1 and is
-    raised as CyclePresent, and without one the path DFS caps at x."""
-    indptr, indices = g.csr()
-    best = _kernels.alt_path_max_blue(indptr, indices, g.num_vertices, g._dag_bound)
+    raised as CyclePresent, and without one the path DFS caps at the
+    number of red edges that carry a blue edge."""
+    best = _kernels.alt_path_max_blue(g._adj, g._dag_bound)
     if best < 0:
         raise CyclePresent("cycle present: the path maximum is undefined")
     return best
@@ -182,9 +200,12 @@ def beta_bruteforce(k: int, x: int) -> int:
     best so far. Permuting the red edges and swapping the ends of each acts
     transitively on the candidate pairs, so a nonempty maximum may be taken
     to hold the first pair (1, 3), and beta is 0 when that edge alone is
-    infeasible. Guarded: the number of candidate blue pairs 2x(x-1) must
-    stay within the cap (default 12, i.e. x <= 3). CQLAB_BRUTE_CAP overrides
-    this cap and the matching scans' cap on N alike."""
+    infeasible. The search keeps one adjacency of the chosen pairs and
+    grows it in place: a pair's two entries are appended when it is chosen
+    and popped when it is dropped. Guarded: the number of candidate blue
+    pairs 2x(x-1) must stay within the cap (default 12, i.e. x <= 3).
+    CQLAB_BRUTE_CAP overrides this cap and the matching scans' cap on N
+    alike."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if x < 1:
@@ -192,34 +213,38 @@ def beta_bruteforce(k: int, x: int) -> int:
     ncand = 2 * x * (x - 1)
     check_brute_cap(ncand, DEFAULT_BETA_PAIR_CAP, f"{ncand} candidate blue pairs")
     nv = 2 * x
-    candidates = [
-        (u, v)
-        for u in range(1, nv + 1)
-        for v in range(u + 1, nv + 1)
-        if red_partner(u) != v
-    ]
+    candidates = [(u, v) for u in range(nv) for v in range(u + 1, nv) if u ^ 1 != v]
     assert len(candidates) == ncand
-
-    def feasible(chosen):
-        # the candidates are valid blue edges; the kernel answers -1 on a cycle
-        return 0 <= _kernels.alt_path_max_blue(*_csr(nv, chosen), nv) < k
-
+    adj = [[] for _ in range(nv)]  # the chosen candidates, 0-based, grown in place
     best = 0
 
-    def grow(chosen, nxt):
-        # chosen is feasible and holds candidates below nxt only
-        nonlocal best
-        best = max(best, len(chosen))
-        for j in range(nxt, ncand):
-            if len(chosen) + ncand - j <= best:
-                return
-            chosen.append(candidates[j])
-            if feasible(chosen):
-                grow(chosen, j + 1)
-            chosen.pop()
+    def add(j):
+        # Append candidate j to the adjacency; True when the set stays
+        # feasible (the kernel answers -1 on a cycle). j is above every
+        # chosen candidate, so each neighbour list stays ascending.
+        u, v = candidates[j]
+        adj[u].append(v)
+        adj[v].append(u)
+        return 0 <= _kernels.alt_path_max_blue(adj) < k
 
-    if candidates and feasible(candidates[:1]):
-        grow(candidates[:1], 1)
+    def drop(j):
+        u, v = candidates[j]
+        adj[u].pop()
+        adj[v].pop()
+
+    def grow(size, nxt):
+        # the chosen set, `size` candidates below nxt, is feasible
+        nonlocal best
+        best = max(best, size)
+        for j in range(nxt, ncand):
+            if size + ncand - j <= best:
+                return
+            if add(j):
+                grow(size + 1, j + 1)
+            drop(j)
+
+    if candidates and add(0):
+        grow(1, 1)
     return best
 
 

@@ -37,6 +37,8 @@ _STAIRCASE_ELL = {TWO_LABEL: 2, THREE_LABEL: 3, FOUR_LABEL: 4}
 
 DEFAULT_MATCHING_CAP = 16
 
+_INT64_MAX = 2**63 - 1  # the largest label the kernels' int64 matrix holds
+
 
 def lex_rank(u: int, v: int, n: int) -> int:
     """Rank of edge (u, v), u < v, in the lexicographic edge order
@@ -55,26 +57,30 @@ class EdgeLabeling:
         if not is_infinite(num_labels):
             if not isinstance(num_labels, int) or num_labels < 1:
                 raise ValueError("num_labels must be a positive int or INFINITE")
-        self.n = int(n_vertices)
+        self.n = n = int(n_vertices)
         self.num_labels = num_labels
-        m = np.zeros((self.n + 1, self.n + 1), dtype=np.int64)
+        # every check runs on Python ints before the one NumPy conversion,
+        # so a label past int64 is refused with ValueError like any other
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+        flat = []
         for (u, v), lab in labels.items():
-            if not (1 <= u < v <= self.n):
+            if not (1 <= u < v <= n):
                 raise ValueError(f"bad pair ({u}, {v})")
-            m[u, v] = m[v, u] = int(lab)
-        npairs = self.n * (self.n - 1) // 2
+            lab = int(lab)
+            rows[u][v] = rows[v][u] = lab
+            flat.append(lab)
+        npairs = n * (n - 1) // 2
         if len(labels) != npairs:
             raise ValueError(f"expected {npairs} labeled pairs, got {len(labels)}")
-        rows = m.tolist()
-        flat = [rows[u][v] for u in range(1, self.n + 1) for v in range(u + 1, self.n + 1)]
         if is_infinite(num_labels):
             if sorted(flat) != list(range(1, npairs + 1)):
                 raise ValueError("infinite mode needs ranks forming a permutation of 1..C(N,2)")
         else:
-            bad = [x for x in flat if not (1 <= x <= num_labels)]
+            top = min(num_labels, _INT64_MAX)
+            bad = [x for x in flat if not (1 <= x <= top)]
             if bad:
-                raise ValueError(f"labels out of 1..{num_labels}: {sorted(set(bad))[:5]}")
-        self._m = m
+                raise ValueError(f"labels out of 1..{top}: {sorted(set(bad))[:5]}")
+        self._m = np.array(rows, dtype=np.int64)
         self._rows = rows  # _m as nested lists, rows[u][v]; read by the pure-Python scans
         self.blocks: tuple[int, ...] | None = None  # realized construction block sizes
 
@@ -194,26 +200,27 @@ def count_critical(labeling: EdgeLabeling, matching: Matching) -> CriticalReport
     N, so outward critical edges can push the raw count past the denominator
     on partial matchings; both are reported.
 
-    The scan reads one map, cover[w] = the label of w's matching edge, and an
-    uncovered w reads 0. That is exact: every label is at least 1, so an
+    The scan reads one list, cover[w] = the label of w's matching edge, row
+    by row beside the label rows, and an uncovered w reads 0. That is exact: every label is at least 1, so an
     uncovered end never makes a pair critical, and a matching edge (u, v)
     has cover[u] = cover[v] = its own label, so it is never critical.
     """
     _validate(labeling, matching)
     labels = labeling._rows  # labels[u][v], 1-based, read without label()'s checks
-    cover = {}
+    cover = [0] * (labeling.n + 1)
     for a, b in matching.edges:
         cover[a] = cover[b] = labels[a][b]
     per_class = dict.fromkeys((cover[a] for a, _ in matching.edges), 0)
     total = inner = 0
-    for u, v in labeling.pairs():
-        lu, lv, lab = cover.get(u, 0), cover.get(v, 0), labels[u][v]
-        if lu > lab or lv > lab:
-            total += 1
-            if lu and lv:
-                inner += 1
-                if lu == lv:
-                    per_class[lu] += 1
+    for u in range(1, labeling.n):
+        lu = cover[u]
+        for lv, lab in zip(cover[u + 1:], labels[u][u + 1:]):
+            if lu > lab or lv > lab:
+                total += 1
+                if lu and lv:
+                    inner += 1
+                    if lu == lv:
+                        per_class[lu] += 1
     outward = total - inner
     denom = math.comb(2 * matching.size, 2)
     return CriticalReport(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,24 @@ class TestBetaBruteforce:
         assert blue == [6, 9, 10]
         assert all(b >= c for b, c in zip(beta, blue))
 
+    def test_every_x_up_to_4(self, monkeypatch):
+        # every beta(k, x) with x <= 4 and k <= 6, with the values of
+        # acceptance criterion 07 and the benchmark's KNOWN_BETA; beta grows
+        # with k and stays at or above each construction's blue count
+        monkeypatch.setenv("CQLAB_BRUTE_CAP", "24")
+        table = {x: [beta_bruteforce(k, x) for k in range(1, 7)] for x in range(1, 5)}
+        assert table == {1: [0, 0, 0, 0, 0, 0], 2: [0, 2, 2, 2, 2, 2],
+                         3: [0, 4, 6, 6, 6, 6], 4: [0, 6, 10, 12, 12, 12]}
+        criterion_07, known_beta = {(1, 2): 0, (2, 2): 2}, {(2, 2): 2}
+        for k, x in [*criterion_07, *known_beta]:
+            assert table[x][k - 1] == {**criterion_07, **known_beta}[k, x]
+        for x, row in table.items():
+            assert row == sorted(row)
+            for k in range(2, 7):
+                if x >= (k if k % 2 else k // 2):
+                    g = (build_odd_k if k % 2 else build_even_k)(k, x)
+                    assert row[k - 1] >= len(g.blue_edges), (k, x)
+
     def test_cap_guard(self):
         with pytest.raises(InstanceTooLarge, match="instance too large"):
             beta_bruteforce(2, 4)
@@ -313,24 +332,27 @@ class TestBlueCsr:
         RedBlueGraph(num_red=3, blue_edges=frozenset({(1, 3), (4, 5), (6, 2)})),
     ], ids=["even", "odd", "six-cycle"])
     def test_built_once_per_graph(self, g, monkeypatch):
-        # the CSR and the digraph bound are each built once per graph, and
-        # both public checks answer as the kernels do without them
+        # the kernels' adjacency and the digraph bound are each built once
+        # per graph, and both public checks answer as the kernels do without
+        # them; every red edge carries a blue edge here, so the adjacency
+        # spans all 2x vertices and csr() is its CSR form
         builds, bounds = [], []
 
-        def counted(nv, edges):
-            builds.append(nv)
-            return fresh(nv, edges)
+        def counted(edges):
+            adj = fresh(edges)
+            builds.append(len(adj))
+            return adj
 
-        def counted_bound(indptr, indices, nv):
-            bounds.append(nv)
-            return fresh_bound(indptr, indices, nv)
+        def counted_bound(adj):
+            bounds.append(len(adj))
+            return fresh_bound(adj)
 
-        fresh, fresh_bound = alternating._csr, _kernels._dag_bound_core
-        monkeypatch.setattr(alternating, "_csr", counted)
+        fresh, fresh_bound = alternating._adjacency, _kernels._dag_bound_core
+        monkeypatch.setattr(alternating, "_adjacency", counted)
         # the answers of the kernels over lists built for each call
-        indptr, indices = fresh(g.num_vertices, sorted(g.blue_edges))
-        cycle = _kernels.alt_cycle_exists(indptr, indices, g.num_vertices)
-        best = None if cycle else _kernels.alt_path_max_blue(indptr, indices, g.num_vertices)
+        adj = fresh(g.blue_edges)
+        cycle = _kernels.alt_cycle_exists(adj)
+        best = None if cycle else _kernels.alt_path_max_blue(adj)
         monkeypatch.setattr(_kernels, "_dag_bound_core", counted_bound)
         assert has_alternating_cycle(g) is cycle
         if cycle:
@@ -338,8 +360,26 @@ class TestBlueCsr:
                 max_blue_in_alternating_path(g)
         else:
             assert max_blue_in_alternating_path(g) == best
-        assert g.csr() == (tuple(indptr), tuple(indices))
+        indptr = list(itertools.accumulate(map(len, adj), initial=0))
+        assert g.csr() == (tuple(indptr), tuple(w for nbrs in adj for w in nbrs))
         assert builds == bounds == [g.num_vertices]
+
+
+    def test_sparse_carrier_costs_its_blue_edges(self):
+        # x = 10^6 red edges and two blue edges, on the path 1-2-3-4-1999999
+        # (red, blue, red, blue): the kernels' lists span the three red
+        # edges that carry a blue edge, not the carrier
+        text = "1000000\n2 3\n4 1999999\n"
+        tracemalloc.start()
+        try:
+            g = redblue_from_text(text)
+            assert has_alternating_cycle(g) is False
+            assert max_blue_in_alternating_path(g) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g._adj) == 6
+        assert peak < 64 * 1024
 
 
 class TestRedBlueValidation:

@@ -495,20 +495,19 @@ class TestDfsParity:
     @settings(max_examples=200, deadline=None)
     def test_public_kernels_equal_cores(self, seed):
         g = _random_graph(random.Random(seed), 5)
-        nv = g.num_vertices
-        indptr, indices = g.csr()
-        cyc_core = K._has_cycle_core(indptr, indices, nv)
-        max_core = K._max_blue_core(indptr, indices, nv, nv)  # cap nv: exhaustive
-        bound = K._dag_bound_core(indptr, indices, nv)
+        adj = g._adj
+        cyc_core = K._has_cycle_core(adj)
+        max_core = K._max_blue_core(adj, len(adj))  # cap len(adj): exhaustive
+        bound = K._dag_bound_core(adj)
         # the certificate-first public kernels equal the uncapped cores; the
         # path kernel answers -1 exactly when the graph has a cycle
-        assert K.alt_cycle_exists(indptr, indices, nv) == cyc_core
-        assert K.alt_path_max_blue(indptr, indices, nv) == (-1 if cyc_core else max_core)
+        assert K.alt_cycle_exists(adj) == cyc_core
+        assert K.alt_path_max_blue(adj) == (-1 if cyc_core else max_core)
         # and the cores and the bound are sound against the independent
         # itertools oracle
         obest, ocycles = oracle_paths(g)
         assert max_core == obest and cyc_core == ocycles
-        assert K.alt_path_max_blue(indptr, indices, nv) == (-1 if ocycles else obest)
+        assert K.alt_path_max_blue(adj) == (-1 if ocycles else obest)
         if ocycles:
             assert bound == -1
         assert bound == -1 or bound >= obest
@@ -523,16 +522,88 @@ class TestDfsParity:
         rng = random.Random(2024)
         for _ in range(600):
             g = _random_graph(rng, 5)
-            nv = g.num_vertices
-            indptr, indices = g.csr()
-            bound = K._dag_bound_core(indptr, indices, nv)
-            cyc = K._has_cycle_core(indptr, indices, nv)
-            best = K._max_blue_core(indptr, indices, nv, nv)
+            adj = g._adj
+            bound = K._dag_bound_core(adj)
+            cyc = K._has_cycle_core(adj)
+            best = K._max_blue_core(adj, len(adj))
             if bound < 0:
                 routes.add("cycle DFS" if cyc else "cycle DFS, none found")
             else:
                 routes.add("stopped at bound" if best == bound else "exhausted below bound")
         assert {"stopped at bound", "exhausted below bound", "cycle DFS"} <= routes
+
+
+def _relabel(rng, x, edges):
+    # the blue edges under a random permutation of the x red edges and a
+    # random swap of the ends of each; red edges, and so every alternating
+    # path and cycle, are kept
+    perm, flip = rng.sample(range(x), x), [rng.randrange(2) for _ in range(x)]
+
+    def f(v):
+        r, side = divmod(v - 1, 2)
+        return 2 * perm[r] + (side ^ flip[r]) + 1
+
+    return frozenset((min(f(u), f(v)), max(f(u), f(v))) for u, v in edges)
+
+
+# the graph of test_closed_walk_without_simple_cycle: a cyclic digraph, and
+# no alternating cycle
+_WALK_GADGET = ((1, 4), (1, 3), (2, 6), (2, 5))
+
+
+class TestAdjacencyAgreement:
+    def _check(self, g):
+        # the public kernels over the graph's adjacency against the itertools
+        # oracle; returns the digraph bound and the oracle's cycle answer
+        obest, ocycles = oracle_paths(g)
+        adj = g._adj
+        assert K.alt_cycle_exists(adj) == ocycles
+        assert K.alt_path_max_blue(adj) == (-1 if ocycles else obest)
+        assert K.alt_cycle_exists(adj, g._dag_bound) == ocycles
+        assert K.alt_path_max_blue(adj, g._dag_bound) == (-1 if ocycles else obest)
+        return g._dag_bound, ocycles
+
+    def test_cyclic_digraphs_with_cycles(self):
+        rng = random.Random(31)
+        seen = 0
+        while seen < 150:
+            g = _random_graph(rng, 5)
+            if g._dag_bound < 0:
+                seen += 1
+                self._check(g)
+        # a cyclic digraph without an alternating cycle is rare in these
+        # draws, so the test below builds such graphs
+
+    def test_cyclic_digraphs_without_cycles(self):
+        # a cycle-free random graph beside the gadget, red edges shuffled:
+        # the digraph is cyclic, the graph has no alternating cycle, and the
+        # path DFS caps at len(adj) // 2
+        rng = random.Random(32)
+        seen = 0
+        while seen < 60:
+            host = _random_graph(rng, 4)
+            if oracle_paths(host)[1]:
+                continue
+            x = host.num_red + 3
+            gadget = {(u + 2 * host.num_red, v + 2 * host.num_red) for u, v in _WALK_GADGET}
+            g = RedBlueGraph(num_red=x, blue_edges=_relabel(rng, x, host.blue_edges | gadget))
+            assert self._check(g) == (-1, False)
+            seen += 1
+
+    def test_sparse_graphs_are_renumbered(self):
+        # a random graph placed on random red edges of a larger carrier:
+        # the adjacency spans only the red edges with a blue edge, and
+        # every answer is the small graph's
+        rng = random.Random(33)
+        for _ in range(200):
+            small = _random_graph(rng, 4)
+            x = small.num_red + rng.randint(0, 40)
+            g = RedBlueGraph(num_red=x, blue_edges=_relabel(rng, x, small.blue_edges))
+            reds = {(v - 1) // 2 for e in g.blue_edges for v in e}
+            assert len(g._adj) == 2 * len(reds)
+            assert all(nbrs == sorted(nbrs) for nbrs in g._adj)
+            assert oracle_paths(g) == oracle_paths(small)
+            self._check(g)
 
 
 class TestDigraphBound:
@@ -541,9 +612,9 @@ class TestDigraphBound:
         # the digraph walk 1 -> 3 -> 2 (blue 1-4, red 4-3, blue 3-1, red 1-2)
         # revisits vertex 1 and has length 2
         g = RedBlueGraph(num_red=2, blue_edges=frozenset({(1, 3), (1, 4)}))
-        indptr, indices = g.csr()
-        assert K._dag_bound_core(indptr, indices, 4) == 2
-        assert K.alt_path_max_blue(indptr, indices, 4) == 1
+        assert len(g._adj) == 4
+        assert K._dag_bound_core(g._adj) == 2
+        assert K.alt_path_max_blue(g._adj) == 1
         assert max_blue_in_alternating_path(g) == 1
 
     def test_cyclic_digraph_without_cycle(self):
@@ -551,8 +622,8 @@ class TestDigraphBound:
         g = RedBlueGraph(
             num_red=3, blue_edges=frozenset({(1, 4), (1, 3), (2, 6), (2, 5)})
         )
-        indptr, indices = g.csr()
-        assert K._dag_bound_core(indptr, indices, 6) == -1
+        assert len(g._adj) == 6
+        assert K._dag_bound_core(g._adj) == -1
         assert has_alternating_cycle(g) is False
         assert max_blue_in_alternating_path(g) == oracle_paths(g)[0]
 
@@ -582,8 +653,8 @@ class TestDigraphBound:
         build = build_odd_k if k % 2 else build_even_k
         for x in (k, 2 * k, 10 * k):
             g = build(k, x)
-            indptr, indices = g.csr()
-            assert K._dag_bound_core(indptr, indices, g.num_vertices) == k - 1
+            assert len(g._adj) == g.num_vertices
+            assert K._dag_bound_core(g._adj) == k - 1
             assert max_blue_in_alternating_path(g) == k - 1
 
 

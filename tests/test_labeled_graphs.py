@@ -210,6 +210,32 @@ class TestCountCritical:
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
+    def test_report_from_is_critical(self, seed):
+        # the whole report rebuilt from is_critical on every non-matching
+        # pair, on random partial matchings: inner pairs have both ends
+        # covered, and a per-class pair has both ends on edges of one label
+        rng = random.Random(seed)
+        n = rng.randint(3, 12)
+        lab = random_labeling(n, rng.choice([1, 2, 3, 4, INFINITE]), seed=seed)
+        verts = rng.sample(range(1, n + 1), 2 * rng.randint(1, n // 2))
+        m = Matching(tuple(zip(verts[0::2], verts[1::2])))
+        cover = {w: lab.label(a, b) for a, b in m.edges for w in (a, b)}
+        total = inner = 0
+        per_class = dict.fromkeys((lab.label(a, b) for a, b in m.edges), 0)
+        for u, v in itertools.combinations(range(1, n + 1), 2):
+            if (u, v) not in m.edges and is_critical(lab, m, u, v):
+                total += 1
+                if u in cover and v in cover:
+                    inner += 1
+                    if cover[u] == cover[v]:
+                        per_class[cover[u]] += 1
+        rep = count_critical(lab, m)
+        assert (rep.critical_count, rep.inner_count, rep.outward_count) == (
+            total, inner, total - inner)
+        assert rep.per_label_class == per_class
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
     def test_report_equals_per_pair_reference(self, seed):
         # every field, and the per-class keys in the same order, on random
         # labelings of K_2..K_14 (constructions included) and random partial
@@ -927,6 +953,25 @@ class TestRefusals:
     def test_labeling_rejects(self, labels, message):
         with pytest.raises(ValueError, match=message):
             EdgeLabeling(3, 2, labels)
+
+    @pytest.mark.parametrize("ell,big,message", [
+        (2, 10**30, r"labels out of 1\.\.2: \[1000000000000000000000000000000\]"),
+        (2, 2**63, r"labels out of 1\.\.2: \[9223372036854775808\]"),
+        (2**70, 2**63, r"labels out of 1\.\.9223372036854775807: \[9223372036854775808\]"),
+        (INFINITE, 2**63, "permutation of 1..C"),
+        (INFINITE, 10**30, "permutation of 1..C"),
+    ], ids=["finite-1e30", "finite-2^63", "ell-2^70", "infinite-2^63", "infinite-1e30"])
+    def test_labels_past_int64_are_value_errors(self, ell, big, message):
+        # checked on Python ints before the int64 matrix is built, so no
+        # OverflowError escapes, for finite and infinite labelings alike
+        with pytest.raises(ValueError, match=message):
+            EdgeLabeling(3, ell, {(1, 2): big, (1, 3): 1, (2, 3): 2})
+
+    def test_largest_int64_label_is_kept(self):
+        top = 2**63 - 1
+        lab = EdgeLabeling(3, 2**70, {(1, 2): top, (1, 3): 1, (2, 3): 2})
+        assert lab.label(1, 2) == top and lab._rows[2][1] == top
+        assert count_critical(lab, Matching(((1, 2),))).critical_count == 2
 
     def test_infinite_ranks_must_permute(self):
         with pytest.raises(ValueError, match="permutation of 1..C"):

@@ -14,15 +14,18 @@ optional argument: a RedBlueGraph computes it once for both, and
 beta_bruteforce grows one adjacency in place and lets each call compute it.
 
 The minimum critical count is first sought by a depth-first branch and bound
-in plain Python over lists. It extends matchings edge by edge in the scans'
-lexicographic order, prunes a prefix whose count already reaches the best
-found, and covers a vertex only after its next lower twin (two vertices are
-twins when swapping them keeps every label, as inside a block of the
-paper's constructions). Twin-free K_16 labelings take 1-5 ms, the K_16
-constructions under 1 ms. Past a budget of max(128, rows // 128) prefixes,
-rows the number of matchings, the vectorised table scan answers instead,
-from the same per-edge terms; total orders such as the lexicographic
-labeling get there (K_16: 0.1 s at size 8, 0.85 s at size 7). The matching
+in plain Python over lists, which extends matchings edge by edge and prunes
+a prefix by its count. It has two routes. A total order (every edge label
+distinct, such as the lexicographic labeling) is searched heaviest vertex
+first, each vertex's edges in ascending count, keeping every minimiser and
+returning the lexicographically first: the lexicographic K_16 takes 3-16 ms
+at sizes 5-8 and random ones about 1 ms. Any other labeling is searched in
+the scans' lexicographic order, keeping the first minimiser, and covers a
+vertex only after its next lower twin (two vertices are twins when swapping
+them keeps every label, as inside a block of the paper's constructions):
+the K_16 constructions take under 1 ms. Past a budget of max(256,
+rows // 128) prefixes, rows the number of matchings, the vectorised table
+scan answers instead, from the same per-edge terms. The matching
 scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
 first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
 edge ids, read through the block's map to the edge ids of K_n. The blocks
@@ -471,11 +474,16 @@ def _solve_m1_val(a, d, g, eta):
     return 0.5 * (lo + hi), True
 
 
-# min_critical_scan's branch and bound visits at most max(_BNB_SHARE, rows //
+# min_critical_scan's searches visit at most max(_BNB_FLOOR, rows //
 # _BNB_SHARE) prefixes, rows the number of matchings, before the table scan
-# answers instead. A prefix costs 1-2 us and 128 table rows about 4.5 us
-# (K_14 and K_16 on a 2-vCPU VM), so a search that spends its budget adds
-# 25-50% to the table scan's time.
+# answers instead. A prefix costs 1.1-2.8 us in either search, a table row
+# 20-45 ns past 10^5 rows, and smaller tables 0.1-0.5 ms whatever their
+# length (K_8 to K_16 on a 2-vCPU VM). So a search that spends its budget
+# adds 0.3-0.7 ms (256 prefixes) to a small table scan, and 9-22 ns per row,
+# 0.2-1.1 times the scan, to a large one: 0.14-0.35 s on K_16 at size 7,
+# against the scan's 0.58 s. The floor keeps the lexicographic K_11 and K_12
+# at their largest sizes (140 and 191 prefixes) in the search.
+_BNB_FLOOR = 256
 _BNB_SHARE = 128
 
 
@@ -505,19 +513,30 @@ def min_critical_scan(lab: np.ndarray, size: int):
     (x, w), x in e, w outside e, with lab(x, w) < L_e, and both[e, f] pairs
     x in e, y in f with lab(x, y) < min(L_e, L_f).
 
-    The branch and bound answers unless it visits more than max(128,
-    rows // 128) prefixes, rows = C(n, 2 size)(2 size - 1)!! the number of
-    matchings; then the table scan answers from the same terms. Both return
-    the count and first minimiser of the full scan."""
+    A total order (every edge label distinct, as in the lexicographic
+    labeling) is searched heaviest vertex first by _ordered_search; any
+    other labeling in index order with the twin rule by _branch_and_bound.
+    Either answers unless it visits more than max(256, rows // 128)
+    prefixes, rows = C(n, 2 size)(2 size - 1)!! the number of matchings;
+    then the table scan answers from the same terms. All return the count
+    and first minimiser of the full scan."""
+    lab = np.ascontiguousarray(lab, dtype=np.int64)
     terms = _scan_terms(lab)
     rows = math.comb(len(lab), 2 * size) * math.prod(range(1, 2 * size, 2))
-    return (_branch_and_bound(terms, size, max(_BNB_SHARE, rows // _BNB_SHARE))
-            or _table_scan(terms, size))
+    budget = max(_BNB_FLOOR, rows // _BNB_SHARE)
+    labels = lab[terms[0], terms[1]].tolist()
+    if len(set(labels)) == len(labels):
+        got = _ordered_search(terms, _heaviest_first(lab), size, budget)
+    else:
+        got = _branch_and_bound(terms, size, budget)
+    return got or _table_scan(terms, size)
 
 
 def _branch_and_bound(terms, size, budget):
-    """min_critical_scan's answer by depth-first branch and bound, or None
-    once it has visited more than `budget` prefixes, the empty one included.
+    """min_critical_scan's answer by depth-first branch and bound in index
+    order, its route for labelings that are not total orders (it is exact
+    on any), or None once it has visited more than `budget` prefixes, the
+    empty one included.
     The lowest undecided vertex i is matched to each undecided v > i in
     ascending order and then left uncovered, so matchings come in
     lexicographic order. Adding edge e to a prefix P adds single[e] -
@@ -583,6 +602,89 @@ def _branch_and_bound(terms, size, budget):
     if nodes > budget or not extend(0, 0, n - 2 * size):
         return None
     return best, np.column_stack((a[best_ids], b[best_ids]))
+
+
+def _heaviest_first(lab):
+    # the vertices by descending sum of their off-diagonal labels, ties by
+    # index (the sort is stable); Python ints, so no sum overflows int64
+    rows = lab.tolist()
+    return sorted(range(len(rows)), key=lambda x: rows[x][x] - sum(rows[x]))
+
+
+def _ordered_search(terms, order, size, budget):
+    """min_critical_scan's answer on a total order by depth-first branch and
+    bound, or None once it has visited more than `budget` prefixes, the
+    empty one included. It searches the labeling relabeled so that vertex j
+    is order[j] (order is a permutation of the vertices; _heaviest_first
+    gives the fast one), as _branch_and_bound does but with no twin rule, so
+    it visits every matching once. At each prefix it tries the edges of the
+    lowest undecided vertex in ascending count, then leaves it uncovered. A
+    count only grows as edges are added, so a prefix whose count exceeds the
+    best found has no minimiser below it, and every matching that reaches
+    the final minimum is kept. The answer is the first of them, in original
+    vertex ids, in lexicographic order of the sorted edge list: the table
+    scan's witness, whatever the order. Restricted to total orders, which
+    have few minimisers (1-7 on random and lexicographic K_n, n <= 16);
+    random two-label K_14 at size 7 have hundreds."""
+    a, b, single, both, _ = terms
+    n = len(order)
+    eid = np.empty((n, n), np.intp)
+    eid[a, b] = eid[b, a] = np.arange(len(a))
+    order = np.asarray(order)
+    emap = eid[order[a], order[b]]  # the original id of each relabeled edge
+    single = single[emap].tolist()
+    rows = [None] * len(single)  # both[e, :e], relabeled, on first use
+    covered, prefix = [False] * n, []
+    best, kept, nodes = math.inf, [], 1
+
+    def extend(i, count, skips):
+        # as in _branch_and_bound, with each vertex's edges in ascending count
+        nonlocal best, kept, nodes
+        while True:
+            while covered[i]:
+                i += 1
+            covered[i] = True
+            base = i * (2 * n - i - 3) // 2 - 1  # the id of (i, v) is base + v
+            children = []
+            for v in range(i + 1, n):
+                if covered[v]:
+                    continue
+                e = base + v
+                row, c = rows[e], count + single[e]
+                if row is None:
+                    row = rows[e] = both[emap[e], emap[:e]].tolist()
+                for f in prefix:
+                    c -= row[f]
+                if c <= best:
+                    children.append((c, e))
+            children.sort()
+            for c, e in children:
+                if c > best:
+                    break
+                nodes += 1
+                if nodes > budget:
+                    return False
+                prefix.append(e)
+                if len(prefix) == size:
+                    if c < best:
+                        best, kept = c, []
+                    kept.append(prefix[:])
+                else:
+                    v = e - base
+                    covered[v] = True
+                    if not extend(i + 1, c, skips):
+                        return False
+                    covered[v] = False
+                prefix.pop()
+            covered[i] = False
+            if not skips:
+                return True
+            i, skips = i + 1, skips - 1
+
+    if nodes > budget or not extend(0, 0, n - 2 * size):
+        return None
+    ids = min(sorted(emap[k].tolist()) for k in kept)
+    return best, np.column_stack((a[ids], b[ids]))
 
 
 def _table_scan(terms, size):

@@ -135,21 +135,22 @@ def _spread_blocks(x: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _construction_blue(blocks, skip_top_left_clique: bool) -> frozenset:
+def _construction_blue(blocks, skip_top_left_clique: bool) -> list:
     # Blocks take consecutive red edges; red edge p (0-based) has left vertex
     # 2p+1 and right vertex 2p+2. For p < q: left-left always, except inside
     # the top block when skipped; right of q to left of p when q's block is
-    # higher.
+    # higher. Each pair (p, q) adds distinct edges, so the list has no
+    # repeats, and RedBlueGraph hashes it once.
     block = [i for i, b in enumerate(blocks) for _ in range(b)]
     top = len(blocks) - 1
-    blue = set()
+    blue = []
     for q in range(len(block)):
         for p in range(q):
             if not (skip_top_left_clique and block[p] == top):
-                blue.add((2 * p + 1, 2 * q + 1))
+                blue.append((2 * p + 1, 2 * q + 1))
             if block[p] < block[q]:
-                blue.add((2 * p + 1, 2 * q + 2))
-    return frozenset(blue)
+                blue.append((2 * p + 1, 2 * q + 2))
+    return blue
 
 
 def build_even_k(k: int, x: int) -> RedBlueGraph:

@@ -278,16 +278,18 @@ def min_critical_matching_bruteforce(
     """Exact minimum of the critical count over all size-`size` matchings.
 
     Ties break to the lexicographically smallest sorted edge list. A
-    branch and bound over matching prefixes answers first: on random
-    infinite-label K_16 at sizes 7 and 8 it takes 0.6-2.8 ms, and on the
-    two-, three- and four-label K_16 constructions at sizes 6-8 0.3-0.6 ms,
-    since only one matching per swap of twins (vertices whose swap keeps
-    every label) is tried. Past its budget, as on the lexicographic
-    labeling, a scan vectorised over first-edge blocks of one table of the
-    (N-2, size-1) matchings answers with the same minimum and witness: K_16
-    perfect matchings (2,027,025) then take about 0.1 s and size 7
-    (16,216,200) about 0.85 s, of which the scan takes 0.09 s and 0.57 s.
-    Best of 3 on a 2-vCPU VM.
+    branch and bound over matching prefixes answers first. On a total
+    order (every label distinct) it tries the heaviest vertex first and
+    each vertex's cheapest edge first, and keeps every minimiser: the
+    lexicographic K_16 takes 3-16 ms at sizes 5-8 and random
+    infinite-label K_16 at sizes 7 and 8 0.6-1.3 ms. On any other labeling
+    it tries only one matching per swap of twins (vertices whose swap
+    keeps every label): the two-, three- and four-label K_16 constructions
+    take 0.3-0.6 ms at sizes 6-8. Past its budget, a scan vectorised over
+    first-edge blocks of one table of the (N-2, size-1) matchings answers
+    with the same minimum and witness; on a K_16 without twins it takes
+    0.09 s for the perfect matchings (2,027,025) and 0.57 s at size 7
+    (16,216,200). Best of 3 on a 2-vCPU VM.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")

@@ -20,9 +20,15 @@ every size, and the twin classes against their definition. The minimum's
 branch and bound, with no budget, is checked against the same oracle on
 both kinds of labeling at every size and two label scales, and against the
 table scan on twin-free K_14 and K_16; a budget of 0 answers nothing, the
-twin rule's node count is pinned on a construction, the lexicographic K_12
-at size 6 passes its budget and gets the table scan's answer, and over the
-digest's battery the public entry takes both routes.
+twin rule's node count is pinned on a construction, and a twin-free
+three-label K_12 passes its budget and gets the table scan's answer. The
+ordered search of total orders is checked against the table scan on seeded
+random total orders and every lexicographic K_n, n <= 16, at every size, in
+random vertex orders too, on a pinned case whose first minimiser found is
+not the first in lexicographic order, and by its node counts on the
+lexicographic K_14 and K_16; the public entry answers every lexicographic
+K_n by the search. Over the digest's battery and that K_12 the public
+entry takes all three routes.
 A fresh process bounds the peak memory of K_16 table scans, pruned and
 full. Table scans on a cleared and on a warm block-table memo agree, the
 kept tables are read-only, and K_16 scans keep none above the memo's row
@@ -281,20 +287,23 @@ class TestMatchingScans:
         assert int(out[3]) < 120 * 1024
 
 
+def _spy(monkeypatch, name):
+    # the arguments after the terms of each call of `name`, a route of
+    # min_critical_scan (_table_scan, _branch_and_bound or _ordered_search),
+    # from here on, in call order
+    route, calls = getattr(K, name), []
+
+    def spy(terms, *args):
+        calls.append(args)
+        return route(terms, *args)
+
+    monkeypatch.setattr(K, name, spy)
+    return calls
+
+
 class TestBranchAndBound:
-    # the search that answers min_critical_scan within its budget
-
-    @staticmethod
-    def _spy_on_table_scan(monkeypatch):
-        # the size of each table scan run from here on, in call order
-        table_scan, sizes = K._table_scan, []
-
-        def spy(terms, size):
-            sizes.append(size)
-            return table_scan(terms, size)
-
-        monkeypatch.setattr(K, "_table_scan", spy)
-        return sizes
+    # the index-order search that answers min_critical_scan within its
+    # budget on labelings that are not total orders
 
     @staticmethod
     def _search_agrees(lab):
@@ -357,33 +366,162 @@ class TestBranchAndBound:
         assert got[0] == count and got[1].tolist() == edges.tolist()
 
     def test_lex_k12_falls_back_to_the_table_scan(self, monkeypatch):
-        # The search needs 13,064 nodes on the lexicographic K_12 at size 6,
-        # against a budget of max(128, 10,395 // 128) = 128, so the public
-        # entry answers with the table scan's output.
+        # The index-order search needs 13,064 nodes on the lexicographic K_12
+        # at size 6, against a budget of max(256, 10,395 // 128) = 256, so
+        # it would fall back. The lexicographic labeling is a total order,
+        # so the public entry takes the ordered search, which needs 191
+        # nodes, and answers with the table scan's output without running it.
         lab = EdgeLabeling.lexicographic(12).matrix0()
         terms = K._scan_terms(lab)
         count, edges = K._table_scan(terms, 6)
         assert K._branch_and_bound(terms, 6, 13063) is None
         got = K._branch_and_bound(terms, 6, 13064)
         assert got[0] == count and got[1].tolist() == edges.tolist()
-        table = self._spy_on_table_scan(monkeypatch)
+        table = _spy(monkeypatch, "_table_scan")
         got = K.min_critical_scan(lab, 6)
         assert got[0] == count and got[1].tolist() == edges.tolist()
-        assert table == [6]
+        assert table == []
+
+    def test_twin_free_finite_labels_fall_back(self, monkeypatch):
+        # A seeded three-label K_12 without twins needs 522 nodes at size 6,
+        # against its budget of 256, so the public entry answers with the
+        # table scan's output, from one table scan.
+        lab = random_labeling(12, 3, seed=17).matrix0()
+        terms = K._scan_terms(lab)
+        assert terms[4].max() < 0
+        count, edges = K._table_scan(terms, 6)
+        assert K._branch_and_bound(terms, 6, 521) is None
+        got = K._branch_and_bound(terms, 6, 522)
+        assert got[0] == count and got[1].tolist() == edges.tolist()
+        table = _spy(monkeypatch, "_table_scan")
+        got = K.min_critical_scan(lab, 6)
+        assert got[0] == count and got[1].tolist() == edges.tolist()
+        assert table == [(6,)]
 
     def test_every_route_is_reached(self, monkeypatch):
-        # over the digest battery, the search answers 430 scans, 92 of them
-        # on labelings with twins; the table scan answers the other 14, all
-        # without twins: the lexicographic K_8 to K_12 at sizes 4 and up, and
-        # five random K_11 and K_12 at their largest size, two of them with
-        # 3 or 4 labels
-        table = self._spy_on_table_scan(monkeypatch)
+        # Over the digest battery and the three-label K_12 above, the
+        # ordered search answers the 129 scans of total orders (the
+        # lexicographic and the infinite-label random labelings), the
+        # index-order search 315, 92 of them on labelings with twins, and
+        # the table scan only the three-label K_12. No battery scan reaches
+        # the table scan: its lexicographic K_8 to K_12 take the ordered
+        # search, and its twin-free random K_11 and K_12 fit the budget.
         routes = collections.Counter()
-        for lab, size in _scan_battery():
-            table.clear()
+        table, search = _spy(monkeypatch, "_table_scan"), _spy(monkeypatch, "_branch_and_bound")
+        ordered = _spy(monkeypatch, "_ordered_search")
+        cases = _scan_battery() + [(random_labeling(12, 3, seed=17).matrix0(), 6)]
+        for lab, size in cases:
+            for calls in (table, search, ordered):
+                calls.clear()
             K.min_critical_scan(lab, size)
-            routes["table" if table else "search", K._twin_classes(lab).max() >= 0] += 1
-        assert routes == {("search", False): 338, ("search", True): 92, ("table", False): 14}
+            assert len(search) + len(ordered) == 1
+            route = "table" if table else "search" if search else "ordered"
+            routes[route, K._twin_classes(lab).max() >= 0] += 1
+        assert routes == {("ordered", False): 129, ("search", False): 223, ("search", True): 92,
+                          ("table", False): 1}
+
+
+class TestOrderedSearch:
+    # the search that answers min_critical_scan within its budget on total
+    # orders, heaviest vertex first, against the table scan
+
+    @staticmethod
+    def _agrees(lab, sizes, orders=None):
+        # at each size the ordered search with no budget, in each order
+        # (heaviest first by default), and the public entry give the table
+        # scan's count and first minimiser
+        terms = K._scan_terms(lab)
+        for size in sizes:
+            count, edges = K._table_scan(terms, size)
+            got = [K._ordered_search(terms, order, size, math.inf)
+                   for order in orders or [K._heaviest_first(lab)]]
+            for c, e in got + [K.min_critical_scan(lab, size)]:
+                assert c == count and e.tolist() == edges.tolist()
+
+    def test_random_total_orders_equal_the_table_scan(self):
+        # seeded infinite-label K_n, n 3-14, at every size; a third of them
+        # scaled by 10^11, past int32
+        for n in range(3, 15):
+            for seed in range(3):
+                lab = random_labeling(n, INFINITE, seed=100 * n + seed).matrix0()
+                self._agrees(lab * 10**11 if seed == 2 else lab, range(1, n // 2 + 1))
+
+    def test_lex_is_answered_by_the_search(self, monkeypatch):
+        # the lexicographic K_n, n <= 16, at every size: the public entry
+        # runs no table scan, not even on K_16 at size 7, where the search
+        # needs 6,100 nodes against a budget of 126,689
+        for n in range(2, 17):
+            lab = EdgeLabeling.lexicographic(n).matrix0()
+            self._agrees(lab, range(1, n // 2 + 1))
+        table = _spy(monkeypatch, "_table_scan")
+        for n in range(2, 17):
+            lab = EdgeLabeling.lexicographic(n).matrix0()
+            for size in range(1, n // 2 + 1):
+                K.min_critical_scan(lab, size)
+        assert table == []
+
+    def test_any_vertex_order_gives_the_same_answer(self):
+        # the order changes only the speed: random vertex orders, the index
+        # order and its reverse on random and lexicographic total orders
+        rng = random.Random(29)
+        for n in range(4, 13):
+            lab = (EdgeLabeling.lexicographic(n) if n % 3 == 0
+                   else random_labeling(n, INFINITE, seed=n)).matrix0()
+            orders = [rng.sample(range(n), n) for _ in range(3)]
+            orders += [list(range(n)), list(range(n))[::-1]]
+            self._agrees(lab, range(1, n // 2 + 1), orders)
+
+    def test_every_minimiser_is_kept(self):
+        # The seeded infinite-label K_8 at size 4 has three minimisers. The
+        # search, heaviest vertex first (5, 6, 1, 3, 0, 4, 2, 7), reaches
+        # (0, 6), (1, 3), (2, 5), (4, 7) first; the first in lexicographic
+        # order is (0, 1), (2, 5), (3, 4), (6, 7), which it must still return.
+        lab = random_labeling(8, INFINITE, seed=3)
+        matchings = _oracle_matchings(8, 4)
+        counts = [count_critical(lab, Matching(tuple((u + 1, v + 1) for u, v in m))).critical_count
+                  for m in matchings]
+        assert counts.count(min(counts)) == 3
+        first = matchings[counts.index(min(counts))]
+        assert first == ((0, 1), (2, 5), (3, 4), (6, 7))
+        assert K._heaviest_first(lab.matrix0()) == [5, 6, 1, 3, 0, 4, 2, 7]
+        count, edges = K._ordered_search(K._scan_terms(lab.matrix0()),
+                                         K._heaviest_first(lab.matrix0()), 4, math.inf)
+        assert count == min(counts) and tuple(map(tuple, edges.tolist())) == first
+
+    def test_node_counts(self):
+        # the lexicographic K_14 at size 7 needs 818 nodes (141,377 in
+        # index order) and K_16 at size 7 6,100
+        for n, nodes in ((14, 818), (16, 6100)):
+            lab = EdgeLabeling.lexicographic(n).matrix0()
+            terms, order = K._scan_terms(lab), K._heaviest_first(lab)
+            assert K._ordered_search(terms, order, 7, nodes - 1) is None
+            assert K._ordered_search(terms, order, 7, nodes) is not None
+
+    def test_budget_zero_answers_nothing(self):
+        labs = [EdgeLabeling.lexicographic(12).matrix0()]
+        labs += [random_labeling(n, INFINITE, seed=n).matrix0() for n in (2, 3, 9)]
+        for lab in labs:
+            terms, order = K._scan_terms(lab), K._heaviest_first(lab)
+            for size in range(1, lab.shape[0] // 2 + 1):
+                assert K._ordered_search(terms, order, size, 0) is None
+                assert K._ordered_search(terms, order, size, math.inf) is not None
+
+    def test_heaviest_first_sums_past_int64(self):
+        # descending off-diagonal label sums, ties by index, any diagonal:
+        # scaling every label by one positive factor keeps the order, also
+        # when the row sums pass 2^63 (int64 sums would wrap)
+        rng = np.random.default_rng(29)
+        for n in (3, 8, 16):
+            lab = EdgeLabeling.lexicographic(n).matrix0()
+            p = rng.permutation(n)
+            lab = lab[np.ix_(p, p)]
+            np.fill_diagonal(lab, rng.integers(0, lab.max() + 1, n))
+            sums = [int(lab[x].sum() - lab[x, x]) for x in range(n)]
+            want = sorted(range(n), key=lambda x: (-sums[x], x))
+            scale = (2**63 - 1) // int(lab.max())
+            for m in (lab, lab * scale):
+                assert K._heaviest_first(m) == want
+        assert K._heaviest_first(np.array([[0, 5, 5], [5, 0, 5], [5, 5, 0]])) == [0, 1, 2]
 
 
 def _twins_by_swap(lab):

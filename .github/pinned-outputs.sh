@@ -1,12 +1,13 @@
 #!/bin/sh
-# Writes the twenty-five outputs pinned in pinned-outputs.sha256 into the
+# Writes the twenty-six outputs pinned in pinned-outputs.sha256 into the
 # current directory and checks their sha256 digests: the oracle's bits and
 # the scan orders (fully adaptive, round-limited, amplified, and amplified
 # round-limited transcripts), the dense solver's (the paper's two-label
 # table and two sweeps; the second reaches f'-argmins inside
 # (0, alpha/2)), the minimum critical matching's (every construction kind;
 # see the route of each below), the switch local search's (three-label
-# K_14, four-label K_16 and lexicographic K_12) and beta's (beta(3, 3), the
+# K_14, four-label K_16, and lexicographic K_12 and K_16, the largest total
+# order the command takes) and beta's (beta(3, 3), the
 # even k = 6, x = 16 and odd k = 5, x = 12 constructions with the files they
 # write, and the cycle and path checks of those files).
 # The minimum comes from a search, the ordered one on total orders and the
@@ -49,6 +50,7 @@ digests="$(cd "$(dirname "$0")" && pwd)/pinned-outputs.sha256"
 "$@" gamma verify --construction three --n 14 --local-search --seed 1 --output json > ls14.json
 "$@" gamma verify --construction four --n 16 --local-search --seed 2 --output json > ls16.json
 "$@" gamma verify --construction lex --n 12 --local-search --output json > lslex.json
+"$@" gamma verify --construction lex --n 16 --local-search --output json > lslex16.json
 "$@" beta brute --k 3 --x 3 --output json > beta.json
 "$@" beta build --k 6 --x 16 --out beta616.txt --output json > betabuild616.json
 "$@" beta build --k 5 --x 12 --out beta512.txt --output json > betabuild512.json

@@ -10,22 +10,26 @@ as a path reaches its length; the answer always comes from the DFS. Only a
 cyclic digraph runs the exact cycle DFS, and only a path maximum below the
 bound (or a cyclic digraph) makes the path DFS exhaustive. Both read the
 graph as it was built, one list of neighbour lists, and take the bound as an
-optional argument: a RedBlueGraph computes it once for both, and
-beta_bruteforce grows one adjacency in place and lets each call compute it.
+optional argument: a RedBlueGraph computes it once for both. beta_bruteforce
+grows one adjacency in place and asks only whether it is feasible:
+alt_paths_below accepts when the bound is below k, and otherwise runs the
+cycle DFS on a cyclic digraph and the path DFS capped at k.
 
 The minimum critical count is first sought by a depth-first branch and bound
 in plain Python over lists, which extends matchings edge by edge and prunes
 a prefix by its count. It has two routes. A total order (every edge label
 distinct, such as the lexicographic labeling) is searched heaviest vertex
 first, each vertex's edges in ascending count, keeping every minimiser and
-returning the lexicographically first: the lexicographic K_16 takes 3-16 ms
-at sizes 5-8 and random ones about 1 ms. Any other labeling is searched in
+returning the lexicographically first: the lexicographic K_16 takes 3-15 ms
+at sizes 5-8 and random ones 0.5-1.1 ms. Any other labeling is searched in
 the scans' lexicographic order, keeping the first minimiser, and covers a
 vertex only after its next lower twin (two vertices are twins when swapping
 them keeps every label, as inside a block of the paper's constructions):
 the K_16 constructions take under 1 ms. Past a budget of max(256,
 rows // 128) prefixes, rows the number of matchings, the vectorised table
-scan answers instead, from the same per-edge terms. The matching
+scan answers instead, from the same per-edge terms. The twin classes are
+computed only for the index-order search and the table scan: a total order
+on n >= 3 vertices has none, and the ordered search reads none. The matching
 scans are vectorised NumPy over first-edge blocks: the matchings of K_n with
 first edge (i, v) are that edge plus a tail of the one (n-2, m-1) table of
 edge ids, read through the block's map to the edge ids of K_n. The blocks
@@ -488,9 +492,9 @@ _BNB_SHARE = 128
 
 
 def _scan_terms(lab):
-    """(a, b, single, both, prev) of a 0-based labeling for min_critical_scan:
-    the ends of the edges of K_n in id order, the inclusion-exclusion terms
-    and the twin classes."""
+    """(a, b, single, both) of a 0-based labeling for min_critical_scan: the
+    ends of the edges of K_n in id order and the inclusion-exclusion terms.
+    The twin classes are computed apart, by the routes that read them."""
     lab = np.ascontiguousarray(lab, dtype=np.int64)
     a, b = _pairs(lab.shape[0])
     L = lab[a, b]
@@ -501,7 +505,7 @@ def _scan_terms(lab):
     lo = np.minimum.outer(L, L)
     ab = np.concatenate((a, b))
     both = (lab[ab][:, ab].reshape(2, E, 2, E) < lo[None, :, None, :]).sum((0, 2))
-    return a, b, single, both, _twin_classes(lab)
+    return a, b, single, both
 
 
 def min_critical_scan(lab: np.ndarray, size: int):
@@ -526,13 +530,15 @@ def min_critical_scan(lab: np.ndarray, size: int):
     budget = max(_BNB_FLOOR, rows // _BNB_SHARE)
     labels = lab[terms[0], terms[1]].tolist()
     if len(set(labels)) == len(labels):
+        # a total order on n >= 3 vertices has no twins, and the ordered
+        # search reads none: only its fallback computes the classes
         got = _ordered_search(terms, _heaviest_first(lab), size, budget)
-    else:
-        got = _branch_and_bound(terms, size, budget)
-    return got or _table_scan(terms, size)
+        return got or _table_scan(terms, _twin_classes(lab), size)
+    prev = _twin_classes(lab)
+    return _branch_and_bound(terms, prev, size, budget) or _table_scan(terms, prev, size)
 
 
-def _branch_and_bound(terms, size, budget):
+def _branch_and_bound(terms, prev, size, budget):
     """min_critical_scan's answer by depth-first branch and bound in index
     order, its route for labelings that are not total orders (it is exact
     on any), or None once it has visited more than `budget` prefixes, the
@@ -544,12 +550,12 @@ def _branch_and_bound(terms, size, budget):
     ever added, so a prefix's count bounds every completion from below and
     pruning at count >= best keeps the first minimiser.
 
-    A vertex is covered only once its next lower twin u (see _twin_classes)
-    is, by an earlier edge or the same one. The first minimiser keeps this
-    rule: were w covered before u, or u never, swapping u and w would keep
-    the count, turn w's edge into a smaller one and change no edge before
-    it, giving a lexicographically smaller matching."""
-    a, b, single, both, prev = terms
+    A vertex is covered only once its next lower twin u (prev, from
+    _twin_classes) is, by an earlier edge or the same one. The first
+    minimiser keeps this rule: were w covered before u, or u never, swapping
+    u and w would keep the count, turn w's edge into a smaller one and
+    change no edge before it, giving a lexicographically smaller matching."""
+    a, b, single, both = terms
     n = len(prev)
     single, prev = single.tolist(), prev.tolist()
     # rows[e] is both[e, :e] as a list, converted when e is first tried: a
@@ -626,14 +632,15 @@ def _ordered_search(terms, order, size, budget):
     scan's witness, whatever the order. Restricted to total orders, which
     have few minimisers (1-7 on random and lexicographic K_n, n <= 16);
     random two-label K_14 at size 7 have hundreds."""
-    a, b, single, both, _ = terms
+    a, b, single, both = terms
     n = len(order)
     eid = np.empty((n, n), np.intp)
     eid[a, b] = eid[b, a] = np.arange(len(a))
     order = np.asarray(order)
     emap = eid[order[a], order[b]]  # the original id of each relabeled edge
     single = single[emap].tolist()
-    rows = [None] * len(single)  # both[e, :e], relabeled, on first use
+    both = both[emap[:, None], emap]  # relabeled in one gather
+    rows = [None] * len(single)  # both[e, :e] as a list, on first use
     covered, prefix = [False] * n, []
     best, kept, nodes = math.inf, [], 1
 
@@ -652,7 +659,7 @@ def _ordered_search(terms, order, size, budget):
                 e = base + v
                 row, c = rows[e], count + single[e]
                 if row is None:
-                    row = rows[e] = both[emap[e], emap[:e]].tolist()
+                    row = rows[e] = both[e, :e].tolist()
                 for f in prefix:
                     c -= row[f]
                 if c <= best:
@@ -687,21 +694,21 @@ def _ordered_search(terms, order, size, budget):
     return best, np.column_stack((a[ids], b[ids]))
 
 
-def _table_scan(terms, size):
+def _table_scan(terms, prev, size):
     """min_critical_scan's answer from the first-edge blocks of the matching
     table, scored in vectorised chunks.
 
     A matching is canonical when, reading the ends i < v of the first edge
     of the sorted edge list and then the ends x < y of the second, no end
-    has a twin (see _twin_classes) below it but the ends read before it.
-    Where an end e has another twin u < e, swapping u and e keeps the count
-    and lowers the first or the second edge, since every vertex below x but
-    i and v is unmatched: a lexicographically smaller matching. The first
-    minimiser is therefore canonical, so the scan may skip any other
+    has a twin (prev, from _twin_classes) below it but the ends read before
+    it. Where an end e has another twin u < e, swapping u and e keeps the
+    count and lowers the first or the second edge, since every vertex below
+    x but i and v is unmatched: a lexicographically smaller matching. The
+    first minimiser is therefore canonical, so the scan may skip any other
     matching and still return the full scan's count and witness. It skips
     the blocks whose first edge is not canonical, and in tables longer than
     one chunk the rows whose first edge is canonical for no kept block."""
-    a, b, single, both, prev = terms
+    a, b, single, both = terms
     n = len(prev)
     first, emap, start, sub = _first_edge_blocks(n, size)
     if prev.max() >= 0:
@@ -812,6 +819,18 @@ def alt_cycle_exists(adj: list[list[int]], bound=None) -> bool:
     if bound is None:
         bound = _dag_bound_core(adj)
     return bound < 0 and _has_cycle_core(adj)
+
+
+def alt_paths_below(adj: list[list[int]], k: int) -> bool:
+    """True when the graph has no alternating cycle and every alternating
+    path carries fewer than k blue edges: 0 <= alt_path_max_blue(adj) < k,
+    deciding no more than that. A digraph bound below k accepts at once.
+    Otherwise a cyclic digraph runs the cycle DFS, and the path DFS stops at
+    the first path with k blue edges."""
+    bound = _dag_bound_core(adj)
+    if 0 <= bound < k:
+        return True
+    return not (bound < 0 and _has_cycle_core(adj)) and _max_blue_core(adj, k) < k
 
 
 def f1_values(alphas, delta, gamma, eta):

@@ -26,24 +26,40 @@ def red_partner(v: int) -> int:
     return v + 1 if v % 2 == 1 else v - 1
 
 
-def _adjacency(edges) -> list[list[int]]:
-    # The kernels' blue adjacency of 1-based edges: ascending 0-based
-    # neighbour lists over only the red edges that carry a blue edge,
-    # renumbered in order, so red partners stay v ^ 1 and the lists grow
-    # with the blue edges, not with x. Every answer is kept: a vertex
-    # without a blue edge lies on no cycle and adds no blue edge to a path,
-    # and a path with b blue edges visits 2b kept vertices.
-    nbrs = collections.defaultdict(list)
-    for u, v in edges:
+def _bucketed(blue, nv):
+    # One pass over blue edges of a carrier with nv vertices: the edges as
+    # (u, v) with u < v, in order; their 0-based ends bucketed by vertex, a
+    # dict over only the vertices with a blue edge; and whether every edge
+    # passes RedBlueGraph's checks.
+    edges, nbrs, ok = [], collections.defaultdict(list), True
+    for u, v in blue:
+        if u > v:
+            u, v = v, u
+        if not (0 < u < v <= nv) or (u & 1 and v == u + 1):
+            ok = False
+        edges.append((u, v))
         nbrs[u - 1].append(v - 1)
         nbrs[v - 1].append(u - 1)
+    return edges, nbrs, ok
+
+
+def _adjacency(nbrs) -> list[list[int]]:
+    # The kernels' blue adjacency from a graph's buckets: each bucket is
+    # sorted in place and becomes its vertex's list. The lists span only
+    # the red edges that carry a blue edge, renumbered in order, so red
+    # partners stay v ^ 1 and the lists grow with the blue edges, not with
+    # x. Every answer is kept: a vertex without a blue edge lies on no cycle
+    # and adds no blue edge to a path, and a path with b blue edges visits
+    # 2b kept vertices.
+    for bucket in nbrs.values():
+        bucket.sort()
     reds = sorted({v >> 1 for v in nbrs})
     if not reds or reds[-1] < len(reds):  # kept: red edges 0..len(reds)-1, ids unchanged
-        return [sorted(nbrs[v]) for v in range(2 * len(reds))]
+        return [nbrs.get(v, []) for v in range(2 * len(reds))]
     new = {}
     for i, r in enumerate(reds):
         new[2 * r], new[2 * r + 1] = 2 * i, 2 * i + 1
-    return [sorted(map(new.__getitem__, nbrs[v])) for v in new]
+    return [list(map(new.__getitem__, nbrs.get(v, ()))) for v in new]
 
 
 @dataclass(frozen=True)
@@ -53,18 +69,28 @@ class RedBlueGraph:
     blocks: tuple[int, ...] | None = None  # realized construction block sizes
 
     def __post_init__(self):
+        # One pass canonicalises, checks and buckets the edges; the buckets
+        # become the kernels' adjacency on the first check. A failed check
+        # is found again over the canonical set, so the first edge reported
+        # does not depend on the input's order, and an edge given both ways
+        # is bucketed again from that set.
         x = self.num_red
         if x < 1:
             raise ValueError("need at least one red edge")
-        canon = frozenset([(u, v) if u < v else (v, u) for u, v in self.blue_edges])
-        for u, v in canon:
-            if u == v:
-                raise ValueError(f"loop blue edge ({u}, {v})")
-            if u < 1 or v > 2 * x:
-                raise ValueError(f"blue edge ({u}, {v}) outside the 2x={2*x} carrier")
-            if v == u + 1 and u % 2 == 1:
-                raise ValueError(f"blue edge ({u}, {v}) duplicates a red edge")
+        edges, nbrs, ok = _bucketed(self.blue_edges, 2 * x)
+        canon = frozenset(edges)
+        if not ok:
+            for u, v in canon:
+                if u == v:
+                    raise ValueError(f"loop blue edge ({u}, {v})")
+                if u < 1 or v > 2 * x:
+                    raise ValueError(f"blue edge ({u}, {v}) outside the 2x={2*x} carrier")
+                if v == u + 1 and u % 2 == 1:
+                    raise ValueError(f"blue edge ({u}, {v}) duplicates a red edge")
+        if len(canon) < len(edges):
+            nbrs = _bucketed(canon, 2 * x)[1]
         object.__setattr__(self, "blue_edges", canon)
+        object.__setattr__(self, "_nbrs", nbrs)
 
     @property
     def num_vertices(self) -> int:
@@ -88,8 +114,9 @@ class RedBlueGraph:
 
     @functools.cached_property
     def _adj(self) -> list[list[int]]:
-        # the kernels' adjacency, built on the first check and shared by both
-        return _adjacency(self.blue_edges)
+        # the kernels' adjacency, built from the buckets on the first check
+        # and shared by both
+        return _adjacency(self._nbrs)
 
     @functools.cached_property
     def _dag_bound(self) -> int:
@@ -203,8 +230,10 @@ def beta_bruteforce(k: int, x: int) -> int:
     to hold the first pair (1, 3), and beta is 0 when that edge alone is
     infeasible. The search keeps one adjacency of the chosen pairs and
     grows it in place: a pair's two entries are appended when it is chosen
-    and popped when it is dropped. Guarded: the number of candidate blue
-    pairs 2x(x-1) must stay within the cap (default 12, i.e. x <= 3).
+    and popped when it is dropped. A check accepts at once when the digraph
+    bound is below k, and runs a DFS only when the bound does not decide.
+    Guarded: the number of candidate blue pairs 2x(x-1) must stay within
+    the cap (default 12, i.e. x <= 3).
     CQLAB_BRUTE_CAP overrides this cap and the matching scans' cap on N
     alike."""
     if k < 1:
@@ -221,12 +250,12 @@ def beta_bruteforce(k: int, x: int) -> int:
 
     def add(j):
         # Append candidate j to the adjacency; True when the set stays
-        # feasible (the kernel answers -1 on a cycle). j is above every
-        # chosen candidate, so each neighbour list stays ascending.
+        # feasible. j is above every chosen candidate, so each neighbour
+        # list stays ascending.
         u, v = candidates[j]
         adj[u].append(v)
         adj[v].append(u)
-        return 0 <= _kernels.alt_path_max_blue(adj) < k
+        return _kernels.alt_paths_below(adj, k)
 
     def drop(j):
         u, v = candidates[j]

@@ -280,16 +280,17 @@ def min_critical_matching_bruteforce(
     Ties break to the lexicographically smallest sorted edge list. A
     branch and bound over matching prefixes answers first. On a total
     order (every label distinct) it tries the heaviest vertex first and
-    each vertex's cheapest edge first, and keeps every minimiser: the
-    lexicographic K_16 takes 3-16 ms at sizes 5-8 and random
-    infinite-label K_16 at sizes 7 and 8 0.6-1.3 ms. On any other labeling
-    it tries only one matching per swap of twins (vertices whose swap
-    keeps every label): the two-, three- and four-label K_16 constructions
-    take 0.3-0.6 ms at sizes 6-8. Past its budget, a scan vectorised over
-    first-edge blocks of one table of the (N-2, size-1) matchings answers
-    with the same minimum and witness; on a K_16 without twins it takes
-    0.09 s for the perfect matchings (2,027,025) and 0.57 s at size 7
-    (16,216,200). Best of 3 on a 2-vCPU VM.
+    each vertex's cheapest edge first, and keeps every minimiser; a total
+    order has no twins, so none are computed: the lexicographic K_16 takes
+    3-15 ms at sizes 5-8 and random infinite-label K_16 at sizes 7 and 8
+    0.5-1.1 ms. On any other labeling it tries only one matching per swap
+    of twins (vertices whose swap keeps every label): the two-, three- and
+    four-label K_16 constructions take 0.3-0.6 ms at sizes 6-8. Past its
+    budget, a scan vectorised over first-edge blocks of one table of the
+    (N-2, size-1) matchings answers with the same minimum and witness; on
+    a K_16 without twins it takes 0.09 s for the perfect matchings
+    (2,027,025) and 0.57 s at size 7 (16,216,200). Best of 3 to 5 on a
+    2-vCPU VM.
     """
     if size < 1 or 2 * size > labeling.n:
         raise ValueError(f"no matchings of size {size} in K_{labeling.n}")
@@ -340,6 +341,14 @@ def _exchange_has_negative_cycle(W, edges, wm) -> bool:
     False therefore proves that no alternating cycle improves the matching.
     True may come from a closed walk that uses a matching edge twice, which
     is no switch, so it proves nothing.
+
+    Each pass that lowers a distance ends with a walk up the parent
+    pointers, each node's last improver. A cycle there is negative, so the
+    answer is True at once: a node's distance is at least its parent's plus
+    the arc cost from the moment the parent is set, since distances only
+    fall, and just before the cycle's last parent was set it was strictly
+    more, so the costs around the cycle sum below 0. Without such a cycle,
+    True waits for a change in every one of the len(nodes) passes.
     """
     nodes = [(j, a, b) for j, (c, d) in enumerate(edges) for a, b in ((c, d), (d, c))]
     arcs = [
@@ -348,17 +357,27 @@ def _exchange_has_negative_cycle(W, edges, wm) -> bool:
         for t, (j2, a2, _) in enumerate(nodes)
         if j2 != j
     ]
-    dist = [0] * len(nodes)
+    nv = len(nodes)
+    dist, parent = [0] * nv, [-1] * nv
     # without a negative cycle, every shortest walk has < len(nodes) arcs
-    for _ in range(len(nodes)):
+    for _ in range(nv):
         changed = False
         for s, t, c in arcs:
             d = dist[s] + c
             if d < dist[t]:
                 dist[t] = d
+                parent[t] = s
                 changed = True
         if not changed:
             return False
+        seen = [-1] * nv  # the start of the walk that first reached each node
+        for v in range(nv):
+            u = v
+            while u >= 0 and seen[u] < 0:
+                seen[u] = v
+                u = parent[u]
+            if u >= 0 and seen[u] == v:
+                return True
     return True
 
 

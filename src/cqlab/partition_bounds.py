@@ -5,6 +5,7 @@ only produced on request by the callers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,18 +122,20 @@ def default_epsilon(ell) -> Fraction:
     return Fraction(1, 2 ** int(ell))
 
 
-def _weight_table(max_label: int, eps: Fraction) -> list[int]:
+@functools.lru_cache(maxsize=256)
+def _weight_table(max_label: int, eps: Fraction) -> tuple[int, ...]:
     """Integer label weights: entry t is label_weight(t, eps) * q**(M-2) for
     eps = p/q and M = max_label, entries 0 and 1 are 0. Built by the exact
     recurrence label_weight(t+1) = 2 label_weight(t) + eps**(t-1), scaled:
-    wint[2] = q**(M-2) and wint[t] = 2 wint[t-1] + p**(t-2) q**(M-t)."""
+    wint[2] = q**(M-2) and wint[t] = 2 wint[t-1] + p**(t-2) q**(M-t).
+    Kept per (max_label, eps), as a tuple, since callers share it."""
     p, q = eps.numerator, eps.denominator
     wint = [0] * (max_label + 1)
     if max_label >= 2:
         wint[2] = q ** (max_label - 2)
         for t in range(3, max_label + 1):
             wint[t] = 2 * wint[t - 1] + p ** (t - 2) * q ** (max_label - t)
-    return wint
+    return tuple(wint)
 
 
 def epsilon_check(ell: int, epsilon) -> bool:

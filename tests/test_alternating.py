@@ -24,6 +24,14 @@ from cqlab.alternating import (
 from cqlab.errors import CyclePresent, InstanceTooLarge
 
 
+def carrier_lists(g):
+    """Ascending 0-based blue neighbour lists over all 2x carrier vertices,
+    read from g.blue_edges alone: the kernels' input, built without the
+    graph's buckets."""
+    return [sorted(w - 1 for e in g.blue_edges if v in e for w in e if w != v)
+            for v in range(1, g.num_vertices + 1)]
+
+
 # --- alternating-structure oracle (pure itertools, independent) ------------
 
 def oracle_paths(g):
@@ -332,14 +340,15 @@ class TestBlueCsr:
         RedBlueGraph(num_red=3, blue_edges=frozenset({(1, 3), (4, 5), (6, 2)})),
     ], ids=["even", "odd", "six-cycle"])
     def test_built_once_per_graph(self, g, monkeypatch):
-        # the kernels' adjacency and the digraph bound are each built once
-        # per graph, and both public checks answer as the kernels do without
-        # them; every red edge carries a blue edge here, so the adjacency
-        # spans all 2x vertices and csr() is its CSR form
+        # the kernels' adjacency, from the graph's edge buckets, and the
+        # digraph bound are each built once per graph, and both public checks
+        # answer as the kernels do over lists built here from the edges;
+        # every red edge carries a blue edge, so the adjacency spans all 2x
+        # vertices and csr() is its CSR form
         builds, bounds = [], []
 
-        def counted(edges):
-            adj = fresh(edges)
+        def counted(nbrs):
+            adj = fresh(nbrs)
             builds.append(len(adj))
             return adj
 
@@ -350,7 +359,7 @@ class TestBlueCsr:
         fresh, fresh_bound = alternating._adjacency, _kernels._dag_bound_core
         monkeypatch.setattr(alternating, "_adjacency", counted)
         # the answers of the kernels over lists built for each call
-        adj = fresh(g.blue_edges)
+        adj = carrier_lists(g)
         cycle = _kernels.alt_cycle_exists(adj)
         best = None if cycle else _kernels.alt_path_max_blue(adj)
         monkeypatch.setattr(_kernels, "_dag_bound_core", counted_bound)
@@ -380,6 +389,15 @@ class TestBlueCsr:
             tracemalloc.stop()
         assert len(g._adj) == 6
         assert peak < 64 * 1024
+
+    def test_edge_given_both_ways_is_one_edge(self):
+        # (1, 3) and (3, 1) are one blue edge, bucketed once: each
+        # neighbour appears once in the kernels' lists
+        g = RedBlueGraph(num_red=2, blue_edges=[(1, 3), (3, 1)])
+        assert g.blue_edges == frozenset({(1, 3)})
+        assert g._adj == [[2], [], [0], []]
+        assert has_alternating_cycle(g) is False
+        assert max_blue_in_alternating_path(g) == 1
 
 
 class TestRedBlueValidation:

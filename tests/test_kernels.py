@@ -4,7 +4,9 @@ cross-checks at n <= 8), and the certificate-first alternating kernels
 against the uncapped walker cores and the itertools path oracle of
 tests/test_alternating.py. There is one build of the kernels, so these
 check the public entry points against the cores they call; a chain of 2,000
-red edges checks that the walker is not recursive. The dense F1/F2 batch
+red edges checks that the walker is not recursive. beta's feasibility
+predicate is checked against the path kernel it replaces, on random graphs
+with x <= 5 and on cyclic digraphs without an alternating cycle. The dense F1/F2 batch
 wrappers are checked against closed forms and one-alpha calls, F1 without
 an f' root against f at the f'-argmin, and 16 dense solves against a digest
 of their reprs. The certified windows of the f'-argmin and m1 searches are
@@ -75,7 +77,7 @@ from cqlab.labeled_graphs import (
     make_construction,
     random_labeling,
 )
-from test_alternating import oracle_paths
+from test_alternating import carrier_lists, oracle_paths
 from test_labeled_graphs import oracle_all_matchings
 
 
@@ -194,7 +196,7 @@ def _planted_twin_cases(draw):
 
 def _table_route(lab, size):
     # min_critical_scan's table scan alone, the route past the search's budget
-    return K._table_scan(K._scan_terms(lab), size)
+    return K._table_scan(K._scan_terms(lab), K._twin_classes(lab), size)
 
 
 def _chunked(scan, lab, size):
@@ -276,7 +278,7 @@ class TestMatchingScans:
                 "from cqlab.labeled_graphs import make_construction, random_labeling; "
                 "lab = make_construction('two', 16).matrix0(); "
                 "inf = random_labeling(16, INFINITE, seed=16).matrix0(); "
-                "scan = lambda m, size: K._table_scan(K._scan_terms(m), size); "
+                "scan = lambda m, size: K._table_scan(K._scan_terms(m), K._twin_classes(m), size); "
                 "print(scan(lab, 7)[0], scan(lab, 8)[0], scan(inf, 7)[0], "
                 "re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -288,14 +290,15 @@ class TestMatchingScans:
 
 
 def _spy(monkeypatch, name):
-    # the arguments after the terms of each call of `name`, a route of
-    # min_critical_scan (_table_scan, _branch_and_bound or _ordered_search),
-    # from here on, in call order
+    # the arguments after the terms and the vertex data (the twin classes,
+    # or the ordered search's vertex order) of each call of `name`, a route
+    # of min_critical_scan (_table_scan, _branch_and_bound or
+    # _ordered_search), from here on, in call order
     route, calls = getattr(K, name), []
 
-    def spy(terms, *args):
+    def spy(terms, vertices, *args):
         calls.append(args)
-        return route(terms, *args)
+        return route(terms, vertices, *args)
 
     monkeypatch.setattr(K, name, spy)
     return calls
@@ -312,7 +315,8 @@ class TestBranchAndBound:
         for size in range(1, lab.n // 2 + 1):
             best, first = _oracle_minimum(lab, size)
             for scale in (1, 10**11):
-                count, edges = K._branch_and_bound(K._scan_terms(lab.matrix0() * scale), size,
+                m = lab.matrix0() * scale
+                count, edges = K._branch_and_bound(K._scan_terms(m), K._twin_classes(m), size,
                                                    math.inf)
                 assert count == best
                 assert tuple(map(tuple, edges.tolist())) == first
@@ -338,10 +342,10 @@ class TestBranchAndBound:
         cases += [(random_labeling(16, INFINITE, seed=16), 7)]
         cases += [(random_labeling(16, INFINITE, seed=s), 8) for s in (1, 2)]
         for lab, size in cases:
-            terms = K._scan_terms(lab.matrix0())
-            assert terms[4].max() < 0
-            count, edges = K._table_scan(terms, size)
-            for got in (K._branch_and_bound(terms, size, math.inf),
+            terms, prev = K._scan_terms(lab.matrix0()), K._twin_classes(lab.matrix0())
+            assert prev.max() < 0
+            count, edges = K._table_scan(terms, prev, size)
+            for got in (K._branch_and_bound(terms, prev, size, math.inf),
                         K.min_critical_scan(lab.matrix0(), size)):
                 assert got[0] == count and got[1].tolist() == edges.tolist()
 
@@ -350,19 +354,20 @@ class TestBranchAndBound:
         labs = [make_construction(kind, 12).matrix0() for kind in CONSTRUCTION_KINDS]
         labs += [random_labeling(n, INFINITE, seed=n).matrix0() for n in (2, 3, 9)]
         for lab in labs:
-            terms = K._scan_terms(lab)
+            terms, prev = K._scan_terms(lab), K._twin_classes(lab)
             for size in range(1, lab.shape[0] // 2 + 1):
-                assert K._branch_and_bound(terms, size, 0) is None
-                assert K._branch_and_bound(terms, size, math.inf) is not None
+                assert K._branch_and_bound(terms, prev, size, 0) is None
+                assert K._branch_and_bound(terms, prev, size, math.inf) is not None
 
     def test_twin_rule_prunes_at_every_depth(self):
         # The two-label K_14 at size 6 needs 24 nodes. Matching the lowest
         # vertex although its next lower twin was left uncovered makes it
         # 96, and dropping the twin rule altogether 262,791.
-        terms = K._scan_terms(make_construction("two", 14).matrix0())
-        count, edges = K._table_scan(terms, 6)
-        assert K._branch_and_bound(terms, 6, 23) is None
-        got = K._branch_and_bound(terms, 6, 24)
+        lab = make_construction("two", 14).matrix0()
+        terms, prev = K._scan_terms(lab), K._twin_classes(lab)
+        count, edges = K._table_scan(terms, prev, 6)
+        assert K._branch_and_bound(terms, prev, 6, 23) is None
+        got = K._branch_and_bound(terms, prev, 6, 24)
         assert got[0] == count and got[1].tolist() == edges.tolist()
 
     def test_lex_k12_falls_back_to_the_table_scan(self, monkeypatch):
@@ -372,10 +377,10 @@ class TestBranchAndBound:
         # so the public entry takes the ordered search, which needs 191
         # nodes, and answers with the table scan's output without running it.
         lab = EdgeLabeling.lexicographic(12).matrix0()
-        terms = K._scan_terms(lab)
-        count, edges = K._table_scan(terms, 6)
-        assert K._branch_and_bound(terms, 6, 13063) is None
-        got = K._branch_and_bound(terms, 6, 13064)
+        terms, prev = K._scan_terms(lab), K._twin_classes(lab)
+        count, edges = K._table_scan(terms, prev, 6)
+        assert K._branch_and_bound(terms, prev, 6, 13063) is None
+        got = K._branch_and_bound(terms, prev, 6, 13064)
         assert got[0] == count and got[1].tolist() == edges.tolist()
         table = _spy(monkeypatch, "_table_scan")
         got = K.min_critical_scan(lab, 6)
@@ -387,11 +392,11 @@ class TestBranchAndBound:
         # against its budget of 256, so the public entry answers with the
         # table scan's output, from one table scan.
         lab = random_labeling(12, 3, seed=17).matrix0()
-        terms = K._scan_terms(lab)
-        assert terms[4].max() < 0
-        count, edges = K._table_scan(terms, 6)
-        assert K._branch_and_bound(terms, 6, 521) is None
-        got = K._branch_and_bound(terms, 6, 522)
+        terms, prev = K._scan_terms(lab), K._twin_classes(lab)
+        assert prev.max() < 0
+        count, edges = K._table_scan(terms, prev, 6)
+        assert K._branch_and_bound(terms, prev, 6, 521) is None
+        got = K._branch_and_bound(terms, prev, 6, 522)
         assert got[0] == count and got[1].tolist() == edges.tolist()
         table = _spy(monkeypatch, "_table_scan")
         got = K.min_critical_scan(lab, 6)
@@ -430,9 +435,9 @@ class TestOrderedSearch:
         # at each size the ordered search with no budget, in each order
         # (heaviest first by default), and the public entry give the table
         # scan's count and first minimiser
-        terms = K._scan_terms(lab)
+        terms, prev = K._scan_terms(lab), K._twin_classes(lab)
         for size in sizes:
-            count, edges = K._table_scan(terms, size)
+            count, edges = K._table_scan(terms, prev, size)
             got = [K._ordered_search(terms, order, size, math.inf)
                    for order in orders or [K._heaviest_first(lab)]]
             for c, e in got + [K.min_critical_scan(lab, size)]:
@@ -794,6 +799,35 @@ class TestDigraphBound:
             assert len(g._adj) == g.num_vertices
             assert K._dag_bound_core(g._adj) == k - 1
             assert max_blue_in_alternating_path(g) == k - 1
+
+
+class TestPathsBelow:
+    # beta's feasibility predicate against the path kernel it replaces, on
+    # random blue subsets with x <= 5 and on the walk gadget beside random
+    # graphs (cyclic digraphs without an alternating cycle), over the
+    # graph's renumbered lists and over lists of every carrier vertex
+    def test_agrees_with_the_path_maximum(self):
+        rng = random.Random(30)
+        graphs = [_random_graph(rng, 5) for _ in range(300)]
+        for _ in range(40):
+            host = _random_graph(rng, 2)
+            x = host.num_red + 3
+            gadget = {(u + 2 * host.num_red, v + 2 * host.num_red) for u, v in _WALK_GADGET}
+            graphs.append(RedBlueGraph(num_red=x,
+                                       blue_edges=_relabel(rng, x, host.blue_edges | gadget)))
+        routes = collections.Counter()
+        for g in graphs:
+            bound = K._dag_bound_core(g._adj)
+            for adj in (g._adj, carrier_lists(g)):
+                best = K.alt_path_max_blue(adj)
+                for k in range(1, 7):
+                    got = K.alt_paths_below(adj, k)
+                    assert got == (0 <= best < k)
+                    route = ("bound" if 0 <= bound < k else
+                             "cycle" if best < 0 else "path")
+                    routes[route, got] += 1
+        assert set(routes) == {("bound", True), ("cycle", False), ("path", True),
+                               ("path", False)}
 
 
 class TestDenseEvalParity:

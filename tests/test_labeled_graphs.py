@@ -502,6 +502,17 @@ class TestWeightTable:
                 assert exact.denominator == 1
                 assert wint[t] == int(exact)
 
+    def test_kept_per_key_as_a_tuple(self):
+        # a repeated key hits the cache and returns the same values, in a
+        # tuple that no caller can change
+        eps = Fraction(3, 7)
+        first = _weight_table(91, eps)
+        assert isinstance(first, tuple)
+        hits = _weight_table.cache_info().hits
+        again = _weight_table(91, Fraction(3, 7))
+        assert _weight_table.cache_info().hits == hits + 1
+        assert again is first and again == _weight_table.__wrapped__(91, eps)
+
     def test_nonpositive_epsilon_rejected(self):
         lab = EdgeLabeling.lexicographic(8)
         with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -569,6 +580,48 @@ def certificate_draws(count, seed, max_k=5):
             yield W, edges, [W[a][b] for a, b in edges]
 
 
+def full_pass_negative_cycle(W, edges, wm):
+    """_exchange_has_negative_cycle without its parent-pointer exit: True
+    only after a change in every one of its passes."""
+    nodes = [(j, a, b) for j, (c, d) in enumerate(edges) for a, b in ((c, d), (d, c))]
+    arcs = [(s, t, W[b][a2] - wm[j2]) for s, (j, _, b) in enumerate(nodes)
+            for t, (j2, a2, _) in enumerate(nodes) if j2 != j]
+    dist = [0] * len(nodes)
+    for _ in range(len(nodes)):
+        changed = False
+        for s, t, c in arcs:
+            if dist[s] + c < dist[t]:
+                dist[t] = dist[s] + c
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+def planted_draws(count, seed):
+    """Random integer weights, 20-60 off a matching of 2-6 edges and 0-30
+    on it; in half the draws a planted cycle over distinct matching edges,
+    its closing edges of weight 0, costs minus the weight of the edges it
+    passes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(2, 6)
+        n = 2 * k + rng.randint(0, 2)
+        W = [[0] * (n + 1) for _ in range(n + 1)]
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                W[u][v] = W[v][u] = rng.randint(20, 60)
+        verts = rng.sample(range(1, n + 1), 2 * k)
+        edges = sorted(tuple(sorted(verts[i:i + 2])) for i in range(0, 2 * k, 2))
+        for a, b in edges:
+            W[a][b] = W[b][a] = rng.randint(0, 30)
+        if rng.random() < 0.5:
+            ends = [edges[j][::rng.choice((1, -1))] for j in rng.sample(range(k), rng.randint(2, k))]
+            for (_, b), (a2, _) in zip(ends, ends[1:] + ends[:1]):
+                W[b][a2] = W[a2][b] = 0
+        yield W, edges, [W[a][b] for a, b in edges]
+
+
 # a local-search optimum whose exchange digraph has a negative closed walk
 # that reuses a matching edge, so the DFS runs and finds no improving cycle
 EXHAUSTS = (6, 3, 481)  # (n, ell, seed of the labeling and of the search)
@@ -594,6 +647,16 @@ class TestExchangeCertificate:
         for W, edges, wm in certificate_draws(30, seed=6, max_k=4):
             assert _exchange_has_negative_cycle(W, edges, wm) == \
                 oracle_negative_digraph_cycle(W, edges, wm)
+
+    def test_early_exit_equals_every_pass(self):
+        # a cycle of parent pointers answers True before the last pass; the
+        # answer is always the full passes'
+        outcomes = collections.Counter()
+        for W, edges, wm in planted_draws(300, seed=30):
+            got = _exchange_has_negative_cycle(W, edges, wm)
+            assert got == full_pass_negative_cycle(W, edges, wm)
+            outcomes[got] += 1
+        assert min(outcomes[True], outcomes[False]) >= 50
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_slowest_settling_path(self, k):
